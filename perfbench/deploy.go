@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -22,11 +20,10 @@ const table = "kv"
 // wire.Listen with the default ListenConfig), or core.New with the DC in
 // process. Traced, the same parts are assembled by hand with tc.New so
 // the base.Service on each side of the TC:DC boundary can be decorated.
-// Every TC and DC uses its default configuration apart from Dir.
+// Every TC and DC uses its default configuration, with in-memory media.
 type deployment struct {
 	w      *workload
 	tr     *tracer // nil when untraced
-	dir    string  // durable media root ("" = in-memory media)
 	dci    *dc.DC
 	ln     *wire.Listener
 	addr   string
@@ -43,21 +40,9 @@ type deployment struct {
 	closed   chan struct{}
 }
 
-func (d *deployment) dcConfig() dc.Config {
-	cfg := dc.Config{Name: "dc0"}
-	if d.dir != "" {
-		cfg.Dir = filepath.Join(d.dir, "dc")
-	}
-	return cfg
-}
+func dcConfig() dc.Config { return dc.Config{Name: "dc0"} }
 
-func (d *deployment) tcConfig(i int) tc.Config {
-	cfg := tc.Config{ID: base.TCID(i + 1)}
-	if d.dir != "" {
-		cfg.Dir = filepath.Join(d.dir, fmt.Sprintf("tc%d", i+1))
-	}
-	return cfg
-}
+func tcConfig(i int) tc.Config { return tc.Config{ID: base.TCID(i + 1)} }
 
 // serve returns the base.Service a wire.Listener (or a direct TC) sees.
 func (d *deployment) serve(x *dc.DC) base.Service {
@@ -67,14 +52,9 @@ func (d *deployment) serve(x *dc.DC) base.Service {
 	return x
 }
 
-func build(ctx context.Context, w *workload, tr *tracer, dir string) (*deployment, error) {
-	d := &deployment{w: w, tr: tr, dir: dir, redoDone: make(chan time.Duration, 4*w.tcs),
+func build(ctx context.Context, w *workload, tr *tracer) (*deployment, error) {
+	d := &deployment{w: w, tr: tr, redoDone: make(chan time.Duration, 4*w.tcs),
 		closed: make(chan struct{})}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("build: %w", err)
-		}
-	}
 	var err error
 	if w.tcp {
 		err = d.buildTCP(ctx)
@@ -90,7 +70,7 @@ func build(ctx context.Context, w *workload, tr *tracer, dir string) (*deploymen
 
 func (d *deployment) buildTCP(ctx context.Context) error {
 	var err error
-	if d.dci, err = dc.New(d.dcConfig()); err != nil {
+	if d.dci, err = dc.New(dcConfig()); err != nil {
 		return fmt.Errorf("build dc: %w", err)
 	}
 	if err := d.dci.CreateTable(table); err != nil {
@@ -102,7 +82,7 @@ func (d *deployment) buildTCP(ctx context.Context) error {
 	d.addr = d.ln.Addr()
 	if d.tr == nil {
 		d.dep, err = core.New(core.Options{TCs: d.w.tcs, DCAddrs: []string{d.addr},
-			TCConfig: d.tcConfig})
+			TCConfig: tcConfig})
 		if err != nil {
 			return fmt.Errorf("build tcs: %w", err)
 		}
@@ -115,7 +95,7 @@ func (d *deployment) buildTCP(ctx context.Context) error {
 	for i := 0; i < d.w.tcs; i++ {
 		cl := wire.Dial(d.addr, wire.DialConfig{})
 		d.wires = append(d.wires, cl)
-		t, err := tc.New(d.tcConfig(i), []base.Service{&tcSide{Service: cl, tr: d.tr}}, nil)
+		t, err := tc.New(tcConfig(i), []base.Service{&tcSide{Service: cl, tr: d.tr}}, nil)
 		if err != nil {
 			return fmt.Errorf("build tc: %w", err)
 		}
@@ -154,7 +134,7 @@ func (d *deployment) buildDirect() error {
 	if d.tr == nil {
 		var err error
 		d.dep, err = core.New(core.Options{TCs: d.w.tcs, DCs: 1, Tables: []string{table},
-			TCConfig: d.tcConfig, DCConfig: func(int) dc.Config { return d.dcConfig() }})
+			TCConfig: tcConfig, DCConfig: func(int) dc.Config { return dcConfig() }})
 		if err != nil {
 			return fmt.Errorf("build: %w", err)
 		}
@@ -164,7 +144,7 @@ func (d *deployment) buildDirect() error {
 		return nil
 	}
 	var err error
-	if d.dci, err = dc.New(d.dcConfig()); err != nil {
+	if d.dci, err = dc.New(dcConfig()); err != nil {
 		return fmt.Errorf("build dc: %w", err)
 	}
 	if err := d.dci.CreateTable(table); err != nil {
@@ -172,7 +152,7 @@ func (d *deployment) buildDirect() error {
 	}
 	svc := &tcSide{Service: d.serve(d.dci), tr: d.tr}
 	for i := 0; i < d.w.tcs; i++ {
-		t, err := tc.New(d.tcConfig(i), []base.Service{svc}, nil)
+		t, err := tc.New(tcConfig(i), []base.Service{svc}, nil)
 		if err != nil {
 			return fmt.Errorf("build tc: %w", err)
 		}
@@ -212,18 +192,17 @@ func (d *deployment) close() {
 // restartTimes is one DC restart, measured.
 type restartTimes struct {
 	total     time.Duration // crash .. first new commit
-	dcRecover time.Duration // DC-log recovery (a reopen of the media when durable)
+	dcRecover time.Duration // DC-log recovery
 	redo      time.Duration // longest TC redo replay (traced or direct only)
-	redoOps   uint64
+	redoOps   float64
 }
 
 // restartDC crashes the DC and brings it back the way its deployment
-// does in production, then times the first new commit. A durable DC
-// comes back as a new process would: dc.New over its directory, which
-// sees only what reached the media (forced DC-log records and written
-// pages). An in-memory DC keeps its simulated stable media. A DC behind
-// wire.Listen is re-listened on the same address after recovery; the TCs
-// redial and replay their redo streams, as core's supervision does.
+// does in production, then times the first new commit. The crash drops
+// everything but the DC's simulated stable media: forced DC-log records
+// and written pages. A DC behind wire.Listen is re-listened on the same
+// address after recovery; the TCs redial and replay their redo streams,
+// as core's supervision does.
 func (d *deployment) restartDC(ctx context.Context, probe func(ctx context.Context) error) (restartTimes, error) {
 	var rt restartTimes
 	redo0 := d.redoOpsPerTC()
@@ -252,14 +231,7 @@ func (d *deployment) restartDC(ctx context.Context, probe func(ctx context.Conte
 		}
 		d.dci.Crash()
 		t := time.Now()
-		if d.dir != "" {
-			d.dci.Close()
-			x, err := dc.New(d.dcConfig())
-			if err != nil {
-				return rt, fmt.Errorf("restart: reopen dc: %w", err)
-			}
-			d.dci = x
-		} else if err := d.dci.Recover(); err != nil {
+		if err := d.dci.Recover(); err != nil {
 			return rt, fmt.Errorf("restart: %w", err)
 		}
 		rt.dcRecover = time.Since(t)
@@ -298,7 +270,7 @@ func (d *deployment) restartDC(ctx context.Context, probe func(ctx context.Conte
 		}
 	}
 	for i, n := range d.redoOpsPerTC() {
-		rt.redoOps += n - redo0[i]
+		rt.redoOps += float64(n - redo0[i])
 	}
 	return rt, nil
 }

@@ -28,7 +28,6 @@ const (
 type arrivalFunc func(ctx context.Context, seq int64) (class int, err error)
 
 type phaseResult struct {
-	rate       float64
 	attempted  int
 	ok         int
 	errors     int
@@ -112,7 +111,7 @@ func runOpenLoop(ctx context.Context, rate float64, window, grace time.Duration,
 		}(&results[e])
 	}
 	wg.Wait()
-	out := &phaseResult{rate: rate, attempted: n}
+	out := &phaseResult{attempted: n}
 	for i := range results {
 		r := &results[i]
 		out.ok += r.ok
@@ -192,4 +191,18 @@ func median(xs []float64) float64 {
 		return s[len(s)/2]
 	}
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+// trimmedMean is the mean of xs without its lowest and highest value.
+func trimmedMean(xs []float64) float64 {
+	if len(xs) < 3 {
+		return median(xs)
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	sum := 0.0
+	for _, x := range s[1 : len(s)-1] {
+		sum += x
+	}
+	return sum / float64(len(s)-2)
 }

@@ -4,7 +4,7 @@
 #   bash perfbench/run.sh --workload tcp-write --seed 1 --seconds 40 --trace 0
 #
 # Run from the root of a checkout. Everything the build and the run leave
-# behind (Go build cache, binary, durable media, span files) goes under
+# behind (Go build cache, binary, span files) goes under
 # .bench_build in the checkout. Without the repository's sources next to
 # perfbench/ the build fails and the script exits nonzero.
 set -euo pipefail

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -15,45 +16,59 @@ import (
 const stageTolerance = 0.02
 
 // runTraced measures the per-layer metrics: the workload's fixed rate
-// once untraced (the baseline for the tracing overhead) and once traced
-// on a hand-assembled deployment whose TC:DC boundary is decorated, then
-// a traced DC restart, the read-back oracle, and the E1 reference phase.
+// once untraced (the baseline for the tracing overhead), followed there
+// by the capacity ladder, and once traced on a hand-assembled deployment
+// whose TC:DC boundary is decorated, then the read-back oracle, DC
+// restarts, and the E1 reference phase.
 func runTraced(ctx context.Context, c runConfig) (*result, error) {
 	w := c.w
 	total := time.Duration(c.seconds * float64(time.Second))
-	warm, fixedLen := total/10, total*3/10
+	warm, fixedLen, ladderLen := total/20, total/4, total*2/5
 
 	d, s, _, err := setup(ctx, c, nil, "base")
 	if err != nil {
 		return nil, err
 	}
 	l := &loader{d: d, s: s}
-	l.phase(ctx, w.rate, warm)
-	baseline := l.phase(ctx, w.rate, fixedLen)
-	d.teardown()
+	l.phase(ctx, fixedRate, warm)
+	baseline := l.phase(ctx, fixedRate, fixedLen)
+	capacity, err := l.ladder(ctx, ladderLen/time.Duration(w.ladder.rungs))
+	if err != nil {
+		d.close()
+		return nil, err
+	}
+	baseErr := s.readBack(ctx, d)
+	d.close()
+	if baseErr != nil {
+		if !errors.Is(baseErr, errOracle) {
+			return nil, baseErr
+		}
+		return &result{Attempted: baseline.attempted, Failed: baseline.failed()}, baseErr
+	}
 
 	tr := newTracer()
 	d, s, _, err = setup(ctx, c, tr, "traced")
 	if err != nil {
 		return nil, err
 	}
-	defer d.teardown()
+	defer d.close()
 	l = &loader{d: d, s: s}
-	l.phase(ctx, w.rate, warm)
+	l.phase(ctx, fixedRate, warm)
 	att0 := s.attempts.Load()
 	c0 := snapshot(d)
 	tr.on.Store(true)
-	traced := l.phase(ctx, w.rate, fixedLen)
+	traced := l.phase(ctx, fixedRate, fixedLen)
 	tr.on.Store(false)
 	delta := snapshot(d).sub(c0)
 	attempts := s.attempts.Load() - att0
+	oracleErr := s.readBack(ctx, d)
 	var rt restartTimes
-	if c.restart {
-		if rt, err = l.restart(ctx); err != nil {
-			return nil, err
+	if oracleErr == nil {
+		rt, oracleErr = l.restart(ctx)
+		if oracleErr != nil && !errors.Is(oracleErr, errOracle) {
+			return nil, oracleErr
 		}
 	}
-	oracleErr := s.readBack(ctx, d)
 	e1, err := runE1(ctx, c.seed)
 	if err != nil {
 		return nil, err
@@ -125,11 +140,11 @@ func runTraced(ctx context.Context, c runConfig) (*result, error) {
 	set("buffer.flushes_per_txn", "count", per(delta.flushes))
 	set("storage.page_writes_per_txn", "count", per(delta.pageWrites))
 	set("storage.bytes_written_per_txn", "B", per(delta.pageBytes))
-	if c.restart {
-		set("restart.dc_recover_s", "s", rt.dcRecover.Seconds())
-		set("restart.redo_s", "s", rt.redo.Seconds())
-		set("tc.redo_ops", "count", float64(rt.redoOps))
-	}
+	set("capacity_tps", "1/s", capacity)
+	set("restart_s", "s", rt.total.Seconds())
+	set("restart.dc_recover_s", "s", rt.dcRecover.Seconds())
+	set("restart.redo_s", "s", rt.redo.Seconds())
+	set("tc.redo_ops", "count", rt.redoOps)
 	set("e1.monolith_txn_us", "us", us(e1.mono))
 	set("e1.unbundled_txn_us", "us", us(e1.unbundled))
 	set("e1.overhead_x", "ratio", float64(e1.unbundled)/float64(e1.mono))

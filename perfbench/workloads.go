@@ -19,12 +19,11 @@ import (
 // transaction reads whole groups, so each group carries an invariant a
 // torn transaction would break.
 type workload struct {
-	name    string
-	tcp     bool // TCs dial a DC served by wire.Listen; else direct calls
-	durable bool // TC-log, DC pages and DC-log on the local disk
-	tcs     int
-	groups  int // key groups per TC (4 keys each)
-	value   int // value bytes
+	name   string
+	tcp    bool // TCs dial a DC served by wire.Listen; else direct calls
+	tcs    int
+	groups int // key groups per TC (4 keys each)
+	value  int // value bytes
 	// readFrac is the share of arrivals that are read-only
 	// transactions.
 	readFrac float64
@@ -38,13 +37,16 @@ type workload struct {
 	readGroups int
 	// readPolicy is how read-only transactions get their view.
 	readPolicy core.SnapshotPolicy
-	rate       float64       // fixed offered rate, arrivals/s
-	subWindow  time.Duration // quantiles are medians over sub-windows this long
-	ladder     []float64     // capacity ladder, arrivals/s
+	ladder     grid          // capacity ladder
 	slo        time.Duration // p99 bound of read/write transactions
-	// checkpoints checkpoints every TC before each load phase, so logs
-	// truncate and pages flush between phases as they would in service.
-	checkpoints bool
+}
+
+// grid is a capacity ladder's planned rates, arrivals/s: rungs rates
+// from from, step apart. The ladder's time is split over the planned
+// rungs; it may offer more or fewer.
+type grid struct {
+	from, step float64
+	rungs      int
 }
 
 func key(tcIdx, group, j int) string {

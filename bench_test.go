@@ -51,8 +51,10 @@ func BenchmarkE1TxnMonolith(b *testing.B) {
 		return e.RunTxn(func(x *monolith.Txn) error {
 			for j := 0; j < g.OpsPerTxn(); j++ {
 				if g.IsRead() {
-					_, _, err := x.Read("kv", g.Key())
-					return err
+					if _, _, err := x.Read("kv", g.Key()); err != nil {
+						return err
+					}
+					continue
 				}
 				if err := x.Upsert("kv", g.Key(), g.Value()); err != nil {
 					return err
@@ -75,8 +77,10 @@ func unbundledTxnBench(b *testing.B, net *wire.Config) {
 		return client.RunTxn(context.Background(), core.TxnOptions{}, func(x *tc.Txn) error {
 			for j := 0; j < g.OpsPerTxn(); j++ {
 				if g.IsRead() {
-					_, _, err := x.Read("kv", g.Key())
-					return err
+					if _, _, err := x.Read("kv", g.Key()); err != nil {
+						return err
+					}
+					continue
 				}
 				if err := x.Upsert("kv", g.Key(), g.Value()); err != nil {
 					return err
@@ -146,8 +150,10 @@ func BenchmarkE1TxnMultiTCPartitioned(b *testing.B) {
 		return client.RunTxnAt(context.Background(), "kv", workload.KVKey(part), core.TxnOptions{}, func(x *tc.Txn) error {
 			for j := 0; j < g.OpsPerTxn(); j++ {
 				if g.IsRead() {
-					_, _, err := x.Read("kv", key(part))
-					return err
+					if _, _, err := x.Read("kv", key(part)); err != nil {
+						return err
+					}
+					continue
 				}
 				if err := x.Upsert("kv", key(part), g.Value()); err != nil {
 					return err

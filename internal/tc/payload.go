@@ -75,7 +75,11 @@ func decodeCommit(payload []byte) ([]tableKey, base.TS, error) {
 		return nil, 0, fmt.Errorf("tc: corrupt commit payload")
 	}
 	payload = payload[w:]
-	out := make([]tableKey, 0, n)
+	// n comes from log bytes the log does not checksum: cap the
+	// preallocation by what the rest can hold (each entry needs at least
+	// two length bytes), so a corrupt count fails the decode below instead
+	// of panicking in make.
+	out := make([]tableKey, 0, min(n, uint64(len(payload)/2)))
 	readStr := func() (string, bool) {
 		m, w := binary.Uvarint(payload)
 		if w <= 0 || m > uint64(len(payload)-w) {

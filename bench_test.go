@@ -94,18 +94,15 @@ func unbundledTxnBench(b *testing.B, net *wire.Config) {
 func BenchmarkE1TxnUnbundledDirect(b *testing.B) { unbundledTxnBench(b, nil) }
 func BenchmarkE1TxnUnbundledWire(b *testing.B)   { unbundledTxnBench(b, &wire.Config{}) }
 
-// pipelinedTxnBench measures multi-op write transactions over a wire with
-// real propagation delay, with operation shipping either synchronous (one
-// blocking round trip per op, the seed behaviour) or pipelined (async
-// writes, batched messages, commit-time ack barrier). Transactions are
-// versioned so upserts skip the existence pre-check — the configuration
-// where pipelining removes every per-op wait from the hot path.
-func pipelinedTxnBench(b *testing.B, pipeline bool) {
-	b.Helper()
+// BenchmarkE1TxnUnbundledWireDelay measures multi-op write transactions
+// over a wire with real propagation delay. Transactions are versioned so
+// upserts skip the existence pre-check: no op waits for a reply before
+// commit, where the writes ship as one batch and the commit-versions
+// operations as a second.
+func BenchmarkE1TxnUnbundledWireDelay(b *testing.B) {
 	dep, err := core.New(core.Options{
 		TCs: 1, DCs: 1, Tables: []string{"kv"},
-		TCConfig: func(int) tc.Config { return tc.Config{Pipeline: pipeline} },
-		Network:  &wire.Config{Delay: 200 * time.Microsecond},
+		Network: &wire.Config{Delay: 200 * time.Microsecond},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -124,9 +121,6 @@ func pipelinedTxnBench(b *testing.B, pipeline bool) {
 		})
 	})
 }
-
-func BenchmarkE1TxnUnbundledWireDelay(b *testing.B) { pipelinedTxnBench(b, false) }
-func BenchmarkE1TxnUnbundledPipelined(b *testing.B) { pipelinedTxnBench(b, true) }
 
 // BenchmarkE1TxnMultiTCPartitioned is the §6.1 scale-out topology: two
 // TCs with update ownership partitioned by key parity (owner=mod(2))
@@ -266,14 +260,14 @@ func BenchmarkE9SnapshotReadContention(b *testing.B) {
 	})
 }
 
-// --- open-loop throughput: server runtime comparison -------------------
+// --- open-loop throughput: the server runtime ---------------------------
 
 // benchThroughput runs one open-loop TCP throughput measurement per
 // iteration (experiments.ThroughputRun: one DC on loopback, two TC
 // frontends, a fixed arrival schedule) and reports completed txn/s plus
 // the p99 latency against that schedule. CI runs it with -benchtime=1x
-// and cmd/benchcheck gates the sharded runtime against its floor.
-func benchThroughput(b *testing.B, name string, lc wire.ListenConfig) {
+// and cmd/benchcheck gates it against its floor.
+func benchThroughput(b *testing.B, name string) {
 	o := experiments.ThroughputOptions{
 		Rate: 4000, Clients: 64,
 		Duration: 2 * time.Second, Warmup: 300 * time.Millisecond,
@@ -281,7 +275,7 @@ func benchThroughput(b *testing.B, name string, lc wire.ListenConfig) {
 	var tps, p99ms float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.ThroughputRun(name, lc, o, "")
+		res := experiments.ThroughputRun(name, o, "")
 		tps += res.Throughput()
 		p99ms += float64(res.Quantile(0.99)) / float64(time.Millisecond)
 	}
@@ -291,11 +285,8 @@ func benchThroughput(b *testing.B, name string, lc wire.ListenConfig) {
 }
 
 func BenchmarkThroughputOpenLoop(b *testing.B) {
-	b.Run("baseline", func(b *testing.B) {
-		benchThroughput(b, "per-request+flat-acks", wire.ListenConfig{PerRequest: true, FlatAcks: true})
-	})
 	b.Run("sharded", func(b *testing.B) {
-		benchThroughput(b, "sharded+coalesced", wire.ListenConfig{})
+		benchThroughput(b, "sharded+coalesced")
 	})
 }
 

@@ -143,7 +143,7 @@ func run(cfg soakConfig) error {
 		TCs:        cfg.tcs,
 		DCAddrs:    addrs,
 		Placement:  pl,
-		TCConfig:   func(i int) tc.Config { return tc.Config{ID: base.TCID(i + 1), Pipeline: true} },
+		TCConfig:   func(i int) tc.Config { return tc.Config{ID: base.TCID(i + 1)} },
 		DialConfig: wire.DialConfig{DropProb: cfg.dropProb, DropSeed: cfg.seed},
 	})
 	if err != nil {

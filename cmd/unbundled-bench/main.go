@@ -21,7 +21,7 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "run the reduced smoke configuration")
 	only := flag.String("only", "", "run a single experiment (E1..E9, F1, F2)")
-	throughput := flag.Bool("throughput", false, "run the open-loop TCP throughput comparison instead of the experiment tables")
+	throughput := flag.Bool("throughput", false, "run the open-loop TCP throughput measurement instead of the experiment tables")
 	rate := flag.Int("rate", 0, "throughput: offered transactions per second (0: default)")
 	clients := flag.Int("clients", 0, "throughput: open-loop executor goroutines (0: default)")
 	duration := flag.Duration("duration", 0, "throughput: offered window (0: default)")

@@ -58,16 +58,14 @@ import (
 
 func main() {
 	dcs := flag.String("dcs", "127.0.0.1:7070", "comma-separated DC listen addresses")
-	placementSpec := flag.String("placement", "", `placement spec ("<table>: dc=<axis> owner=<axis>; ..."); empty derives one from -route/-tcs`)
+	placementSpec := flag.String("placement", "", `placement spec ("<table>: dc=<axis> owner=<axis>; ..."); empty hash-places the workload table across -dcs, ownership split by -tcs`)
 	tcID := flag.Int("tc-id", 1, "this TC's ID, unique across every process sharing the DCs")
 	tcs := flag.Int("tcs", 1, "total TCs in the fleet (IDs 1..tcs); ownership axes may name any of them")
 	dir := flag.String("dir", "", "data directory for the TC-log (empty: in-memory, lost on exit); restart with the same flags to recover")
-	routeSpec := flag.String("route", "hash", `deprecated data-axis shorthand used when -placement is empty: "hash" (key hash mod #DCs) or "first" (everything to DC 0)`)
 	table := flag.String("table", "kv", "table the workload writes")
 	txns := flag.Int("txns", 200, "workload transactions to run")
 	ops := flag.Int("ops", 4, "writes per transaction")
 	valueBytes := flag.Int("value-bytes", 32, "payload size per write")
-	pipeline := flag.Bool("pipeline", false, "pipelined operation shipping")
 	verify := flag.Bool("verify", true, "read back every committed key and verify its value")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint the TC every N transactions (0: never)")
 	progressEvery := flag.Int("progress-every", 50, "print progress every N transactions")
@@ -85,7 +83,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unbundled-tc: -tc-id %d outside the fleet 1..%d (-tcs)\n", *tcID, *tcs)
 		os.Exit(1)
 	}
-	pl, err := buildPlacement(*placementSpec, *routeSpec, *table, len(addrs), *tcs)
+	pl, err := buildPlacement(*placementSpec, *table, len(addrs), *tcs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "unbundled-tc:", err)
 		os.Exit(1)
@@ -96,7 +94,7 @@ func main() {
 		DCAddrs:   addrs,
 		Placement: pl,
 		TCConfig: func(int) tc.Config {
-			return tc.Config{ID: base.TCID(*tcID), Pipeline: *pipeline, Dir: *dir}
+			return tc.Config{ID: base.TCID(*tcID), Dir: *dir}
 		},
 	})
 	if err != nil {
@@ -181,22 +179,14 @@ func splitList(s string) []string {
 }
 
 // buildPlacement parses -placement, or derives a spec: the workload table
-// hash- (or, with the deprecated -route shorthand, first-)placed across
-// the DCs, update ownership split along the workload's own "w<tc-id>-"
-// key prefixes so every fleet member owns exactly the keys it generates,
-// plus a catch-all so REPL sessions can touch ad-hoc tables.
-func buildPlacement(spec, route, table string, dcs, tcs int) (*placement.Placement, error) {
+// hash-placed across the DCs, update ownership split along the workload's
+// own "w<tc-id>-" key prefixes so every fleet member owns exactly the keys
+// it generates, plus a catch-all so REPL sessions can touch ad-hoc tables.
+func buildPlacement(spec, table string, dcs, tcs int) (*placement.Placement, error) {
 	if spec != "" {
 		return placement.Parse(spec)
 	}
 	dcAxis := fmt.Sprintf("hash(%d)", dcs)
-	switch route {
-	case "hash":
-	case "first":
-		dcAxis = "0"
-	default:
-		return nil, fmt.Errorf("unknown -route %q (want hash or first)", route)
-	}
 	owner := "1"
 	if tcs > 1 {
 		// The range grammar wants lexicographically ascending split keys,

@@ -1,8 +1,8 @@
-// Pipelined operation shipping: the same multi-op write transactions over
-// the same misbehaving wire (real propagation delay, loss, duplication),
-// once with synchronous per-op round trips and once with pipelined
-// shipping (async writes, batched messages, commit-time ack barrier) —
-// then a TC crash mid-transaction to show recovery still holds.
+// Pipelined operation shipping: multi-op write transactions over a
+// misbehaving wire (real propagation delay, loss, duplication). Each
+// transaction logs its writes without waiting for the DC and ships them as
+// one batch at commit, whose ack barrier holds the locks until every write
+// is applied. Then a TC crash mid-transaction shows recovery still holds.
 package main
 
 import (
@@ -14,12 +14,9 @@ import (
 	"github.com/cidr09/unbundled"
 )
 
-func open(pipeline bool) *unbundled.Deployment {
+func open() *unbundled.Deployment {
 	dep, err := unbundled.Open(unbundled.Options{
 		TCs: 1, DCs: 1, Tables: []string{"kv"},
-		TCConfig: func(int) unbundled.TCConfig {
-			return unbundled.TCConfig{Pipeline: pipeline}
-		},
 		Network: &unbundled.NetworkConfig{
 			Delay:    200 * time.Microsecond,
 			LossProb: 0.01,
@@ -33,8 +30,8 @@ func open(pipeline bool) *unbundled.Deployment {
 	return dep
 }
 
-func run(pipeline bool) time.Duration {
-	dep := open(pipeline)
+func run() time.Duration {
+	dep := open()
 	defer dep.Close()
 	ctx := context.Background()
 	client := dep.Client()
@@ -57,16 +54,11 @@ func run(pipeline bool) time.Duration {
 }
 
 func main() {
-	sync := run(false)
-	pipe := run(true)
-	fmt.Printf("50 txns x 4 writes over a 200µs lossy wire:\n")
-	fmt.Printf("  synchronous shipping: %v\n", sync.Round(time.Millisecond))
-	fmt.Printf("  pipelined shipping:   %v  (%.1fx faster)\n",
-		pipe.Round(time.Millisecond), float64(sync)/float64(pipe))
+	fmt.Printf("50 txns x 4 writes over a 200µs lossy wire: %v\n", run().Round(time.Millisecond))
 
-	// Crash the TC with a pipelined transaction still uncommitted: the ack
-	// barrier plus restart must keep committed data and drop the loser.
-	dep := open(true)
+	// Crash the TC with a transaction still uncommitted: restart must keep
+	// committed data and drop the loser.
+	dep := open()
 	defer dep.Close()
 	ctx := context.Background()
 	client := dep.Client()
@@ -91,7 +83,7 @@ func main() {
 			return fmt.Errorf("committed data lost: %q %v", v, ok)
 		}
 		if _, ok, _ := x.Read("kv", "ghost"); ok {
-			return fmt.Errorf("uncommitted pipelined write survived recovery")
+			return fmt.Errorf("uncommitted write survived recovery")
 		}
 		return nil
 	}); err != nil {

@@ -139,8 +139,8 @@ type Service interface {
 	Perform(ctx context.Context, op *Op) *Result
 	// PerformBatch executes a batch of logical operations in the given
 	// order, returning one result per operation, positionally. Batches are
-	// the unit of pipelined operation shipping: a TC coalesces queued
-	// operations headed to the same DC into one batch so a single message
+	// the unit of operation shipping: a transaction ships its logged
+	// operations headed to the same DC as one batch so a single message
 	// round trip acknowledges many operations. Each operation keeps its own
 	// LSN request ID, so resending a whole batch stays idempotent per
 	// operation. Like Perform, it blocks until all replies are available.

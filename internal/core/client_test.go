@@ -203,19 +203,18 @@ func TestClientRetriesUnavailable(t *testing.T) {
 }
 
 // TestClientDoesNotRetryAmbiguousCommit: a commit-barrier failure after
-// the commit record is logged (here: the TC closed with pipelined acks
-// outstanding, a transient unavailable by classification) must not
+// the commit record is logged (here: the TC closed with acks outstanding,
+// a transient unavailable by classification) must not
 // re-execute fn — the transaction may be a winner in the log.
 func TestClientDoesNotRetryAmbiguousCommit(t *testing.T) {
-	dep, err := New(Options{TCs: 1, DCs: 1, Tables: []string{"kv"},
-		TCConfig: func(int) tc.Config { return tc.Config{Pipeline: true} }})
+	dep, err := New(Options{TCs: 1, DCs: 1, Tables: []string{"kv"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dep.Close()
 	client := dep.Client()
 
-	dep.CrashDC(0) // park the pipeline in its resend loop
+	dep.CrashDC(0) // park the commit's flush in its resend loop
 	fnRuns := 0
 	commitEntered := make(chan struct{})
 	go func() {

@@ -16,7 +16,7 @@ import (
 )
 
 // TestCoalescedAcksOnMisbehavingNetwork is the correctness oracle for ack
-// coalescing: pipelined increment transactions over a lossy, duplicating,
+// coalescing: increment transactions over a lossy, duplicating,
 // jittery network with Config.CoalesceAcks on, checked against the serial
 // oracle. Coalescing must be invisible to the protocol — losing or
 // duplicating a whole msgReplyBatch is exactly a lost or duplicated set of
@@ -35,9 +35,8 @@ func TestCoalescedAcksOnMisbehavingNetwork(t *testing.T) {
 		TCs: 1, DCs: 2, Tables: []string{"kv"},
 		Placement: placement.MustParse("kv: dc=mod(2)"),
 		TCConfig: func(int) tc.Config {
-			// Pipelined shipping is the mode that leans on acks hardest:
-			// commit blocks on the barrier until every shipped op is acked.
-			return tc.Config{Pipeline: true, LockTimeout: 5 * time.Second}
+			// Commit blocks on the barrier until every shipped op is acked.
+			return tc.Config{LockTimeout: 5 * time.Second}
 		},
 		Network: &wire.Config{
 			Delay:        20 * time.Microsecond,

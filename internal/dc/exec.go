@@ -90,7 +90,7 @@ func (d *DC) Perform(ctx context.Context, op *base.Op) *base.Result {
 
 // PerformBatch implements base.Service: execute a batch of operations
 // sequentially in arrival order. Sequential execution is what makes the
-// pipelined shipping protocol sound: two operations of one transaction on
+// batched shipping protocol sound: two operations of one transaction on
 // the same key arrive in one ordered stream per DC, so the DC never
 // reorders them (the cross-transaction case is excluded by the TC's
 // locks). Idempotence stays per-operation — a resent batch re-runs each

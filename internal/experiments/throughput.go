@@ -13,14 +13,11 @@ import (
 )
 
 // The throughput experiment measures the server runtime itself: one DC
-// served over real loopback TCP, several TC frontends dialing it, and an
-// open-loop arrival schedule offered across them. Two runtimes face the
-// identical offered load: the pre-pool baseline (a goroutine per request,
-// one frame per reply) and the production runtime (sharded worker pool
-// with bounded admission, coalesced ack frames). At rates the baseline
-// cannot sustain, its completed-txn count and tail latencies fall behind
-// while the pooled runtime keeps queueing bounded and sheds the excess as
-// typed overloads the TC's wire client rides out.
+// served over real loopback TCP (sharded worker pool with bounded
+// admission, coalesced ack frames), several TC frontends dialing it, and
+// an open-loop arrival schedule offered across them. Past the rate the
+// server sustains, queueing stays bounded and the excess is shed as typed
+// overloads the TC's wire client rides out.
 
 // ThroughputOptions configures one open-loop TCP throughput run.
 type ThroughputOptions struct {
@@ -71,38 +68,22 @@ func (o ThroughputOptions) withDefaults() ThroughputOptions {
 	return o
 }
 
-// Throughput compares the two server runtimes under the same offered
-// load: the per-request-goroutine flat-ack baseline against the sharded
-// worker pool with coalesced acks.
+// Throughput reports the server runtime under the offered load.
 func Throughput(o ThroughputOptions) *harness.Report {
-	o = o.withDefaults()
 	t := harness.NewReport()
-	for _, mode := range []struct {
-		name string
-		cfg  wire.ListenConfig
-		note string
-	}{
-		{"per-request+flat-acks", wire.ListenConfig{PerRequest: true, FlatAcks: true},
-			"goroutine per request, one frame per reply"},
-		{"sharded+coalesced", wire.ListenConfig{},
-			"worker pool, bounded queues, batched ack frames"},
-	} {
-		t.Add(ThroughputRun(mode.name, mode.cfg, o, mode.note))
-	}
+	t.Add(ThroughputRun("sharded+coalesced", o, "worker pool, bounded queues, batched ack frames"))
 	return t
 }
 
-// ThroughputRun measures one server runtime: an in-process DC served on
-// loopback TCP under lc, o.TCs TC frontends dialed to it, and an
-// open-loop schedule of o.Rate versioned multi-upsert transactions spread
-// round-robin across the TCs (each TC writes its own key prefix, so the
-// frontends never contend on locks — the server is the variable). Ops ship
-// synchronously: every upsert is a full server round trip, the maximum
-// wire pressure per transaction (the pipelined mode's TC-global ack
-// barrier convoys concurrent committers and would measure the TC, not the
-// server). Result.Retries carries the wire resends and Result.Overloads
+// ThroughputRun measures the server runtime: an in-process DC served on
+// loopback TCP, o.TCs TC frontends dialed to it, and an open-loop schedule
+// of o.Rate versioned multi-upsert transactions spread round-robin across
+// the TCs (each TC writes its own key prefix, so the frontends never
+// contend on locks — the server is the variable). Each transaction ships
+// its upserts as one batch at commit and its commit-versions operations as
+// a second. Result.Retries carries the wire resends and Result.Overloads
 // the admission refusals the clients absorbed underneath the run.
-func ThroughputRun(name string, lc wire.ListenConfig, o ThroughputOptions, note string) harness.Result {
+func ThroughputRun(name string, o ThroughputOptions, note string) harness.Result {
 	o = o.withDefaults()
 	d, err := dc.New(dc.Config{Name: "bench-dc"})
 	if err != nil {
@@ -111,15 +92,11 @@ func ThroughputRun(name string, lc wire.ListenConfig, o ThroughputOptions, note 
 	if err := d.CreateTable("kv"); err != nil {
 		panic(err)
 	}
-	l, err := wire.ListenWith("127.0.0.1:0", d, lc)
+	l, err := wire.Listen("127.0.0.1:0", d)
 	if err != nil {
 		panic(err)
 	}
-	dep, err := core.New(core.Options{
-		TCs:      o.TCs,
-		DCAddrs:  []string{l.Addr()},
-		TCConfig: func(int) tc.Config { return tc.Config{Pipeline: false} },
-	})
+	dep, err := core.New(core.Options{TCs: o.TCs, DCAddrs: []string{l.Addr()}})
 	if err != nil {
 		panic(err)
 	}

@@ -23,25 +23,25 @@ func waitNoGoroutineLeak(t *testing.T, baseline int) {
 	t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), baseline)
 }
 
-// TestCommitBarrierCancellation: a pipelined commit whose ack barrier is
-// stuck (DC down, pipeline in its resend loop) returns promptly with the
+// TestCommitBarrierCancellation: a commit whose ack barrier is stuck (DC
+// down, its flush in the resend loop) returns promptly with the
 // ErrCancelled-wrapped context error when cancelled — and the barrier is
 // only abandoned, not broken: once the DC recovers, the resend contract
 // still delivers the committed transaction's operations.
 func TestCommitBarrierCancellation(t *testing.T) {
-	tcx, d := newPipelinedPair(t, 0)
+	tcx, d := newPair(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 
 	// Versioned: upserts need no pre-check read, so the write after the
-	// crash pipelines cleanly instead of failing its pre-check at the
+	// crash is logged cleanly instead of failing its pre-check at the
 	// down DC.
 	x := tcx.Begin(ctx, TxnOptions{Versioned: true})
 	if err := x.Upsert("t", "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	// Wait out the first write so the crash cannot race the first batch,
-	// then park the *next* write's batch against a down DC.
-	if err := x.pend.wait(context.Background()); err != nil {
+	// Ship the first write before the crash, then park the *next* write's
+	// batch against a down DC.
+	if err := x.flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	d.Crash()
@@ -75,10 +75,10 @@ func TestCommitBarrierCancellation(t *testing.T) {
 	// the write to k2 is still unacknowledged, so another transaction must
 	// not be able to touch the keys until the barrier actually drains.
 	if got := len(tcx.Locks().Held(x.ID())); got == 0 {
-		t.Fatal("cancelled commit released locks with unacknowledged pipelined writes outstanding")
+		t.Fatal("cancelled commit released locks with unacknowledged writes outstanding")
 	}
 
-	// The commit record is durable and the pipeline keeps resending: after
+	// The commit record is durable and the finisher keeps resending: after
 	// DC recovery the transaction's writes must all be present.
 	if err := d.Recover(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package tc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -74,7 +75,7 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		gated := newGatedService(d)
-		tcx, err := New(Config{ID: 1, Pipeline: true}, []base.Service{gated}, nil)
+		tcx, err := New(Config{ID: 1}, []base.Service{gated}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,13 +87,19 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// A versioned blind upsert posts straight into the pipeline; the
-		// wrapper freezes the shipped batch mid-flight.
+		// A versioned blind upsert needs no pre-check read; the
+		// transaction's own unlocked read ships it, and the wrapper freezes
+		// the shipped batch mid-flight.
 		gated.armed.Store(true)
 		ghost := tcx.Begin(context.Background(), TxnOptions{Versioned: true})
 		if err := ghost.Upsert("t", "ghost", []byte("x")); err != nil {
 			t.Fatal(err)
 		}
+		shipped := make(chan error, 1)
+		go func() {
+			_, _, err := ghost.ReadDirty("t", "ghost")
+			shipped <- err
+		}()
 		<-gated.parked
 
 		// Crash with the batch frozen on the wire; restart mints the next
@@ -115,6 +122,10 @@ func TestStaleBatchFencedAtDCAfterTCRestart(t *testing.T) {
 		}
 		if d.Stats().StaleEpochs == 0 {
 			t.Fatalf("iter %d: fence never fired", it)
+		}
+		// The dead incarnation's transaction learns its batch was retired.
+		if err := <-shipped; !errors.Is(err, ErrTCStopped) {
+			t.Fatalf("iter %d: fenced flush error = %v, want ErrTCStopped", it, err)
 		}
 		if r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "ghost",
 			Flavor: base.ReadDirty}); r.Found {

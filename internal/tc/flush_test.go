@@ -13,9 +13,12 @@ import (
 	"github.com/cidr09/unbundled/internal/dc"
 )
 
-// slowService delays every operation delivery, making the asynchrony of
-// pipelined writes observable: a posted write is provably not yet applied
-// when the transaction continues, so the commit barrier has real work.
+// The tests in this file cover the one write path: logged writes are
+// pipelined up to the transaction's barriers, where the transaction's own
+// goroutine ships them as one batch per DC (Txn.flush).
+
+// slowService delays every operation delivery, so the commit barrier has
+// measurable work.
 type slowService struct {
 	base.Service
 	delay time.Duration
@@ -31,8 +34,8 @@ func (s *slowService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.
 	return s.Service.PerformBatch(ctx, ops)
 }
 
-// newPipelinedPair wires one pipelined TC to one DC through a delay.
-func newPipelinedPair(t *testing.T, delay time.Duration) (*TC, *dc.DC) {
+// newDelayedPair wires one TC to one DC through a delay.
+func newDelayedPair(t *testing.T, delay time.Duration) (*TC, *dc.DC) {
 	t.Helper()
 	d, err := dc.New(dc.Config{Name: "dc0", CheckConflicts: true})
 	if err != nil {
@@ -47,7 +50,7 @@ func newPipelinedPair(t *testing.T, delay time.Duration) (*TC, *dc.DC) {
 	if delay > 0 {
 		svc = &slowService{Service: d, delay: delay}
 	}
-	tcx, err := New(Config{ID: 1, Pipeline: true}, []base.Service{svc}, nil)
+	tcx, err := New(Config{ID: 1}, []base.Service{svc}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +59,7 @@ func newPipelinedPair(t *testing.T, delay time.Duration) (*TC, *dc.DC) {
 }
 
 func TestPipelinedWriteSemantics(t *testing.T) {
-	tcx, _ := newPipelinedPair(t, 0)
+	tcx, _ := newDelayedPair(t, 0)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		if err := x.Insert("t", "k", []byte("v1")); err != nil {
 			return err
@@ -67,7 +70,7 @@ func TestPipelinedWriteSemantics(t *testing.T) {
 		if err := x.Update("t", "missing", nil); !errors.Is(err, ErrNotFound) {
 			return fmt.Errorf("update missing: %v", err)
 		}
-		// Own write visible before the ack arrives (transaction cache).
+		// Own write visible before it ships (transaction cache).
 		if v, ok, _ := x.Read("t", "k"); !ok || string(v) != "v1" {
 			return fmt.Errorf("own read: %q %v", v, ok)
 		}
@@ -94,10 +97,9 @@ func TestPipelinedWriteSemantics(t *testing.T) {
 }
 
 func TestPipelinedCommitAckBarrier(t *testing.T) {
-	// A 2ms delivery delay means writes are certainly still in flight when
-	// the transaction body finishes; Commit must not return (nor release
-	// locks) until every one of them has been applied at the DC.
-	tcx, d := newPipelinedPair(t, 2*time.Millisecond)
+	// With a 2ms delivery delay, Commit must not return (nor release
+	// locks) until every write has been applied at the DC.
+	tcx, d := newDelayedPair(t, 2*time.Millisecond)
 	const n = 5
 	start := time.Now()
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
@@ -124,7 +126,7 @@ func TestPipelinedCommitAckBarrier(t *testing.T) {
 }
 
 func TestPipelinedAbortDrainsBeforeUndo(t *testing.T) {
-	tcx, _ := newPipelinedPair(t, time.Millisecond)
+	tcx, _ := newDelayedPair(t, time.Millisecond)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		return x.Insert("t", "base", []byte("committed"))
 	}); err != nil {
@@ -157,7 +159,7 @@ func TestPipelinedAbortDrainsBeforeUndo(t *testing.T) {
 }
 
 func TestPipelinedVersionedBlindUpsert(t *testing.T) {
-	tcx, d := newPipelinedPair(t, 0)
+	tcx, d := newDelayedPair(t, 0)
 	// Versioned upserts skip the existence pre-check entirely; semantics
 	// must be unchanged, including finalize-before-unlock at commit.
 	if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
@@ -197,14 +199,14 @@ func TestPipelinedVersionedBlindUpsert(t *testing.T) {
 }
 
 func TestPipelinedScanSeesOwnWrites(t *testing.T) {
-	tcx, _ := newPipelinedPair(t, time.Millisecond)
+	tcx, _ := newDelayedPair(t, time.Millisecond)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		for i := 0; i < 8; i++ {
 			if err := x.Insert("t", fmt.Sprintf("s%03d", i), []byte("v")); err != nil {
 				return err
 			}
 		}
-		// The scan must drain the pipeline first (read-your-writes).
+		// The scan must ship the buffered writes first (read-your-writes).
 		keys, _, err := x.Scan("t", "s000", "s999", 0)
 		if err != nil {
 			return err
@@ -219,13 +221,13 @@ func TestPipelinedScanSeesOwnWrites(t *testing.T) {
 }
 
 func TestPipelinedTCCrashRecovery(t *testing.T) {
-	tcx, _ := newPipelinedPair(t, 0)
+	tcx, _ := newDelayedPair(t, 0)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		return x.Insert("t", "committed", []byte("keep"))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// A loser with writes that may still be queued when the crash hits.
+	// A loser whose writes are still unshipped when the crash hits.
 	loser := tcx.Begin(context.Background(), TxnOptions{})
 	if err := loser.Insert("t", "loser", []byte("drop")); err != nil {
 		t.Fatal(err)
@@ -256,7 +258,7 @@ func TestPipelinedTCCrashRecovery(t *testing.T) {
 }
 
 func TestPipelinedDCCrashRecoveryViaResend(t *testing.T) {
-	tcx, d := newPipelinedPair(t, 0)
+	tcx, d := newDelayedPair(t, 0)
 	for i := 0; i < 50; i++ {
 		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 			return x.Insert("t", fmt.Sprintf("k%03d", i), []byte("v"))
@@ -284,10 +286,10 @@ func TestPipelinedDCCrashRecoveryViaResend(t *testing.T) {
 }
 
 func TestPipelinedWriteRetriesWhileDCDown(t *testing.T) {
-	// A pipelined write posted while the DC is down must park in the
-	// resend loop and land once the DC recovers; the committing
-	// transaction blocks at its ack barrier until then.
-	tcx, d := newPipelinedPair(t, 0)
+	// A write shipped while the DC is down must park in the resend loop
+	// and land once the DC recovers; the committing transaction blocks at
+	// its ack barrier until then.
+	tcx, d := newDelayedPair(t, 0)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		return x.Insert("t", "pre", []byte("v"))
 	}); err != nil {
@@ -296,9 +298,9 @@ func TestPipelinedWriteRetriesWhileDCDown(t *testing.T) {
 	d.Crash()
 	blocked := make(chan error, 1)
 	go func() {
-		// Versioned: the upsert needs no pre-check read, so the write posts
-		// straight into the pipeline and the txn parks at its commit
-		// barrier rather than failing on a synchronous unavailable reply.
+		// Versioned: the upsert needs no pre-check read, so the write is
+		// logged and the txn parks at its commit barrier rather than
+		// failing on a synchronous unavailable reply.
 		blocked <- tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
 			return x.Upsert("t", "during", []byte("v"))
 		})
@@ -320,7 +322,7 @@ func TestPipelinedWriteRetriesWhileDCDown(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("pipelined write never recovered after DC restart")
+		t.Fatal("write never recovered after DC restart")
 	}
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		if _, ok, _ := x.Read("t", "during"); !ok {
@@ -361,7 +363,7 @@ func (s *closedStubService) Closed() bool { return s.closed.Load() }
 
 func TestPipelinedCommitUnblocksWhenStubClosed(t *testing.T) {
 	// A wire stub closed before the TC (out-of-order shutdown) answers
-	// everything with CodeUnavailable; the pipeline must recognize the
+	// everything with CodeUnavailable; the flush must recognize the
 	// closed stub and fail the commit barrier instead of resending
 	// forever.
 	d, err := dc.New(dc.Config{Name: "dc0"})
@@ -372,7 +374,7 @@ func TestPipelinedCommitUnblocksWhenStubClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	stub := &closedStubService{Service: d}
-	tcx, err := New(Config{ID: 1, Pipeline: true}, []base.Service{stub}, nil)
+	tcx, err := New(Config{ID: 1}, []base.Service{stub}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +401,9 @@ func TestPipelinedStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	// crashes belongs to a dead incarnation: its records vanished with the
 	// unforced log tail, so after recovery it must be retired, never
 	// delivered — delivering would apply a write no undo covers and record
-	// a reused LSN in the DC's idempotence tables.
-	tcx, d := newPipelinedPair(t, 0)
+	// a reused LSN in the DC's idempotence tables. The transaction's own
+	// unlocked read is the barrier that ships the batch.
+	tcx, d := newDelayedPair(t, 0)
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
 		return x.Insert("t", "committed", []byte("keep"))
 	}); err != nil {
@@ -411,7 +414,12 @@ func TestPipelinedStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	if err := x.Upsert("t", "ghost", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond) // let the worker pop the batch and park
+	shipped := make(chan error, 1)
+	go func() {
+		_, _, err := x.ReadDirty("t", "ghost")
+		shipped <- err
+	}()
+	time.Sleep(5 * time.Millisecond) // let the flush park in its resend loop
 	tcx.Crash()
 	if err := d.Recover(); err != nil {
 		t.Fatal(err)
@@ -419,11 +427,21 @@ func TestPipelinedStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 	if err := tcx.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let the parked batch's backoff expire
+	select {
+	case err := <-shipped:
+		// A resend landing in the instant between the DC's and the TC's
+		// recovery still succeeds (BeginRestart then resets it away);
+		// otherwise the dead incarnation's batch is retired.
+		if err != nil && !errors.Is(err, ErrTCStopped) {
+			t.Fatalf("parked flush error = %v, want ErrTCStopped", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked flush never retired after crash+recovery")
+	}
 	r := d.Perform(context.Background(), &base.Op{TC: 9, Kind: base.OpRead, Table: "t", Key: "ghost",
 		Flavor: base.ReadDirty})
 	if r.Found {
-		t.Fatal("stale pipelined batch delivered after crash+recovery")
+		t.Fatal("stale batch delivered after crash+recovery")
 	}
 	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(y *Txn) error {
 		if v, ok, _ := y.Read("t", "committed"); !ok || string(v) != "keep" {
@@ -436,10 +454,10 @@ func TestPipelinedStaleBatchNotDeliveredAfterTCCrash(t *testing.T) {
 }
 
 func TestPipelinedConcurrentNoConflictInvariant(t *testing.T) {
-	// Concurrent conflicting transactions through the pipelines: the DC
-	// conflict checker must stay clean, proving the ack barrier keeps
-	// strict 2PL airtight (no lock release before the ops are applied).
-	tcx, d := newPipelinedPair(t, 0)
+	// Concurrent conflicting transactions: the DC conflict checker must
+	// stay clean, proving the ack barrier keeps strict 2PL airtight (no
+	// lock release before the ops are applied).
+	tcx, d := newDelayedPair(t, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -456,5 +474,114 @@ func TestPipelinedConcurrentNoConflictInvariant(t *testing.T) {
 	wg.Wait()
 	if v := d.Stats().ConflictViols; v != 0 {
 		t.Fatalf("conflicting concurrent operations reached the DC: %d", v)
+	}
+}
+
+// countingService counts the TC's operation calls into a DC and records
+// the size of every batch.
+type countingService struct {
+	base.Service
+	mu       sync.Mutex
+	performs int
+	batches  []int
+}
+
+func (c *countingService) Perform(ctx context.Context, op *base.Op) *base.Result {
+	c.mu.Lock()
+	c.performs++
+	c.mu.Unlock()
+	return c.Service.Perform(ctx, op)
+}
+
+func (c *countingService) PerformBatch(ctx context.Context, ops []*base.Op) []*base.Result {
+	c.mu.Lock()
+	c.batches = append(c.batches, len(ops))
+	c.mu.Unlock()
+	return c.Service.PerformBatch(ctx, ops)
+}
+
+func (c *countingService) counts() (int, []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.performs, append([]int(nil), c.batches...)
+}
+
+func newCountingPair(t *testing.T) (*TC, *countingService) {
+	t.Helper()
+	d, err := dc.New(dc.Config{Name: "dc0", CheckConflicts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	svc := &countingService{Service: d}
+	tcx, err := New(Config{ID: 1}, []base.Service{svc}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tcx.Close)
+	return tcx, svc
+}
+
+func TestWritesShipAsOneBatchPerBarrier(t *testing.T) {
+	// A versioned 4-upsert transaction needs no reads: its writes ship as
+	// one batch at commit, and its commit-versions ops as a second batch
+	// once the commit record is forced. Nothing goes one op at a time.
+	tcx, svc := newCountingPair(t)
+	if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
+		for i := 0; i < 4; i++ {
+			if err := x.Upsert("t", fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	performs, batches := svc.counts()
+	if performs != 0 || len(batches) != 2 || batches[0] != 4 || batches[1] != 4 {
+		t.Fatalf("calls: %d Perform, PerformBatch sizes %v; want 0 and [4 4]", performs, batches)
+	}
+	if got := tcx.Stats().OpsSent; got != 8 {
+		t.Fatalf("OpsSent = %d, want 8", got)
+	}
+}
+
+func TestLargeTxnShipsInBoundedChunks(t *testing.T) {
+	tcx, svc := newCountingPair(t)
+	const n = 200
+	if err := tcx.RunTxn(context.Background(), TxnOptions{Versioned: true}, func(x *Txn) error {
+		for i := 0; i < n; i++ {
+			if err := x.Upsert("t", fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, batches := svc.counts()
+	total := 0
+	for _, b := range batches {
+		if b > maxShipBatch {
+			t.Fatalf("batch of %d ops exceeds %d: %v", b, maxShipBatch, batches)
+		}
+		total += b
+	}
+	if total != 2*n {
+		t.Fatalf("shipped %d ops in %v, want %d", total, batches, 2*n)
+	}
+	if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+		keys, _, err := x.Scan("t", "", "", 0)
+		if err != nil {
+			return err
+		}
+		if len(keys) != n {
+			return fmt.Errorf("scan sees %d of %d writes", len(keys), n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -20,17 +20,14 @@ import (
 var errLockTableLost = fmt.Errorf("tc: lock table lost in TC crash: %w", base.ErrUnavailable)
 
 // Crash simulates a TC process failure: the log buffer (unforced tail),
-// lock table, transaction table, ack bookkeeping, and queued pipeline
-// operations vanish. The stable log survives. LSNs above the stable end
+// lock table, transaction table (with its unshipped operations), and ack
+// bookkeeping vanish. The stable log survives. LSNs above the stable end
 // will be reused by the restarted incarnation — the DC-side reset protocol
 // (§5.3.2) makes that safe. The epoch fence activates when Recover mints
 // the next incarnation; anything a zombie call completes into the tracker
 // before then is wiped by recovery's re-base, and anything it delivers to
 // a DC before then is swept by BeginRestart.
 func (t *TC) Crash() {
-	for _, p := range t.pipes {
-		p.drop()
-	}
 	t.mu.Lock()
 	t.down = true
 	t.txns = make(map[base.TxnID]*Txn)
@@ -271,8 +268,8 @@ func (t *TC) RecoverDC(idx int) error {
 	defer h.setRecovering(false)
 
 	// Scan only sees the stable log, but operations whose replies already
-	// arrived may still sit in the unforced tail (always possible with
-	// pipelining, where an op is acknowledged long before any force).
+	// arrived may still sit in the unforced tail (a scan or unlocked read
+	// ships an open transaction's writes before any force).
 	// Force first so the redo stream covers every operation the DC might
 	// have lost from its cache.
 	t.log.Force()

@@ -11,10 +11,12 @@
 // operations concurrently, which in turn makes the TC-log's LSN order an
 // order-preserving serialization of the logical operation history.
 //
-// With Config.Pipeline, logged writes ship asynchronously through per-DC
-// pipelines (see pipeline.go): the transaction continues as soon as the op
-// record is appended, and its commit barriers on the outstanding acks
-// before releasing locks.
+// There is one write path. A logged write appends its op record and joins
+// the transaction's outgoing list; the transaction's own goroutine ships
+// the list as one batch per DC at its barriers — before a scan or unlocked
+// read, before Abort's undo, and at Commit before the locks are released
+// (see Txn.flush). No reply is needed earlier: the op is logged before it
+// is sent, resent until acknowledged, and applied idempotently (§4.2).
 package tc
 
 import (
@@ -87,17 +89,6 @@ type Config struct {
 	WatermarkInterval time.Duration
 	// ForceDelay simulates stable-log force latency (group commit).
 	ForceDelay time.Duration
-	// Pipeline ships logged writes asynchronously: Insert/Update/Upsert/
-	// Delete append their op record, post the op into the per-DC pipeline,
-	// and return without waiting for the DC reply. Commit overlaps the
-	// commit-record force with draining the transaction's outstanding acks
-	// and releases locks only after both complete, so strict 2PL semantics
-	// are preserved while transaction latency drops from ops x RTT to
-	// roughly one RTT per batch.
-	Pipeline bool
-	// MaxBatch caps the operations coalesced into one shipped batch
-	// message (default 64).
-	MaxBatch int
 	// Clock is the timestamp source for commit timestamps and snapshot
 	// reads (default: a process-wide monotonic clock.System with zero
 	// uncertainty). Deployments spanning machines install a clock whose
@@ -128,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WatermarkInterval <= 0 {
 		c.WatermarkInterval = time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.Clock == nil {
 		c.Clock = defaultClock
@@ -231,16 +219,13 @@ type TC struct {
 
 	acks *ackTracker
 
-	// pipes are the per-DC shipping pipelines (nil unless cfg.Pipeline).
-	pipes []*pipeline
-
 	// epoch is the durable incarnation number: minted strictly larger on
 	// every (re)start and forced into the log *before* it is stamped on any
 	// operation, so no two incarnations — however they crash — ever share
 	// one. Every operation carries its incarnation's stamp (op.Epoch, set
 	// before the LSN is assigned), which serves as the TC-side generation
-	// fence for both the sync and pipelined paths — calls in flight across
-	// a crash cannot feed the reset ack tracker — and as the DC-side fence
+	// fence — calls in flight across a crash cannot feed the reset ack
+	// tracker — and as the DC-side fence
 	// installed by BeginRestart that refuses requests of dead incarnations
 	// still on the wire (CodeStaleEpoch).
 	epoch atomic.Uint64
@@ -335,16 +320,6 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 	for _, svc := range dcs {
 		t.dcs = append(t.dcs, newDCHandle(svc))
 	}
-	if cfg.Pipeline {
-		// Workers exit on Close but are not waited for: one can be blocked
-		// inside a wire call that only unblocks when the deployment closes
-		// the client stubs afterwards.
-		for _, h := range t.dcs {
-			p := newPipeline(t, h)
-			t.pipes = append(t.pipes, p)
-			go p.run()
-		}
-	}
 	t.wg.Add(1)
 	go t.watermarkLoop()
 	return t, nil
@@ -427,15 +402,12 @@ func (t *TC) SetPartition(table string, p lockmgr.Partition) {
 }
 
 // Close stops background work (the TC stays usable for reads of state).
-// Queued pipelined operations fail with ErrTCStopped so their commit
-// barriers unblock; an operation already inside a wire call against a
+// A transaction resending to a down DC gives up with ErrTCStopped so its
+// barrier unblocks; an operation already inside a wire call against a
 // down DC unblocks only once that client stub is closed too — close the
 // TC first and then the stubs, as core.Deployment.Close does.
 func (t *TC) Close() {
 	t.stopOnce.Do(func() { close(t.stopCh) })
-	for _, p := range t.pipes {
-		p.close()
-	}
 	t.wg.Wait()
 }
 
@@ -545,8 +517,8 @@ func (t *TC) isDown() bool {
 // performOn sends one operation to the resolved DC handle, waiting for
 // the reply, and feeds the ack tracker (the source of low-water marks).
 // Callers resolve the handle with dcIndex *before* the op's LSN is
-// assigned, so an unroutable operation is never logged. Like the pipeline's
-// complete, the ack is epoch-fenced: a zombie call whose reply lands after
+// assigned, so an unroutable operation is never logged. Like Txn.complete,
+// the ack is epoch-fenced: a zombie call whose reply lands after
 // a Crash+Recover carries a dead incarnation's stamp and must not complete
 // an LSN the new incarnation is reusing (the lsn <= lwm guard in the
 // tracker only covers the at-or-below-reset-base half of that race). Ops
@@ -556,8 +528,9 @@ func (t *TC) isDown() bool {
 // complete either.
 //
 // Cancellation: only read-flavored operations ever arrive with a
-// cancellable ctx — logged writes ship under context.WithoutCancel because
-// their delivery contract must run to completion. An abandoned read still
+// cancellable ctx — the logged operations sent here (undo inverses,
+// restart re-finalize) use context.Background because their delivery
+// contract must run to completion. An abandoned read still
 // completes its LSN: reads mutate nothing and are never reflected in
 // cached pages, so the low-water mark may pass them, and not completing
 // would leave a permanent gap that stalls checkpoints.

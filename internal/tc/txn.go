@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/cidr09/unbundled/internal/base"
@@ -105,16 +106,13 @@ type cachedVal struct {
 // from a single goroutine (many transactions run concurrently). It carries
 // the context it was begun with: every lock wait and read honors that
 // context's cancellation and deadline, while the delivery of logged writes
-// deliberately does not (see write).
+// deliberately does not (see flush).
 type Txn struct {
-	tc  *TC
-	ctx context.Context
-	// sendCtx is ctx stripped of cancellation: the delivery context for
-	// logged operations, whose resend contract must outlive any cancel.
-	sendCtx context.Context
-	opts    TxnOptions
-	id      base.TxnID
-	state   txnState
+	tc    *TC
+	ctx   context.Context
+	opts  TxnOptions
+	id    base.TxnID
+	state txnState
 	// firstLSN/lastLSN delimit the undo chain in the TC-log.
 	firstLSN, lastLSN base.LSN
 	// cache holds values read or written under locks this transaction
@@ -125,11 +123,12 @@ type Txn struct {
 	// versioned tracks keys written with versioning; commit/abort send
 	// the §6.2.2 finalize operations for them.
 	versioned map[tableKey]struct{}
-	// pend is the barrier over this transaction's pipelined operations:
-	// writes posted into the per-DC pipelines complete here, and Commit/
-	// Abort (and scans, for read-your-writes) wait on it before relying on
-	// DC state. Unused (always empty) when pipelining is off.
-	pend pending
+	// out holds the logged operations not yet shipped, per DC index in
+	// log order; flush delivers them at the transaction's barriers.
+	out [][]*base.Op
+	// shipErr is the first permanent delivery failure; every later flush
+	// reports it.
+	shipErr error
 	// snapTS is the snapshot read timestamp (nonzero only for snapshot
 	// transactions): every read is served by the DC at this timestamp.
 	snapTS base.TS
@@ -149,8 +148,7 @@ func (t *TC) Begin(ctx context.Context, opts TxnOptions) *Txn {
 	t.mu.Lock()
 	t.nextTxn++
 	id := base.TxnID(t.nextTxn)
-	x := &Txn{tc: t, ctx: ctx, sendCtx: context.WithoutCancel(ctx), opts: opts,
-		id: id, cache: make(map[tableKey]cachedVal)}
+	x := &Txn{tc: t, ctx: ctx, opts: opts, id: id, cache: make(map[tableKey]cachedVal)}
 	if opts.Versioned {
 		x.versioned = make(map[tableKey]struct{})
 	}
@@ -423,17 +421,12 @@ func (x *Txn) ReadDirty(table, key string) ([]byte, bool, error) {
 	return x.readOp(table, key, base.ReadDirty, false)
 }
 
-// drain waits out this transaction's pipelined writes before an operation
-// that must observe them at the DC (scans and unlocked reads bypass the
-// transaction cache, so read-your-writes needs the queue empty). Point
-// reads never need it: every pipelined write is recorded in the cache.
-// The wait honors the transaction's context.
-func (x *Txn) drain() error {
-	if !x.tc.pipelined() {
-		return nil
-	}
-	return x.pend.wait(x.ctx)
-}
+// drain ships this transaction's logged writes before an operation that
+// must observe them at the DC (scans and unlocked reads bypass the
+// transaction cache, so read-your-writes needs them delivered). Point
+// reads never need it: every logged write is recorded in the cache. The
+// wait honors the transaction's context.
+func (x *Txn) drain() error { return x.flush(x.ctx) }
 
 // valueOf returns the current value under an already-held X lock, going to
 // the DC only when the transaction cache cannot answer.
@@ -466,14 +459,13 @@ func (x *Txn) Delete(table, key string) error {
 
 // write implements all mutations: X lock, undo capture, logical redo+undo
 // logging *before* the send (so the TC-log order is an OPSR order), then
-// the operation itself — shipped synchronously, or posted into the per-DC
-// pipeline when cfg.Pipeline is on (the pre-check + X-lock invariant
-// guarantees the outcome, so nothing needs the reply before commit).
+// the operation joins the transaction's outgoing list. The pre-check +
+// X-lock invariant guarantees the outcome, so nothing needs the reply
+// before the transaction's next barrier (see flush).
 //
 // Cancellation points are the lock wait and the pre-check read. Once the
-// op record is appended, delivery is no longer cancellable: the resend/
-// redo contract must run to completion, or an abandoned forward operation
-// could be overtaken by its own inverse on a reordering network.
+// op record is appended, delivery runs to completion whatever the context
+// does: see flush.
 func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 	if x.state != txnActive {
 		return ErrTxnDone
@@ -530,7 +522,7 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		// Versioned upserts need no pre-check: the DC keeps the before
 		// version, the inverse is abort-versions (no prior needed), and
 		// upsert semantics do not depend on prior existence. This saves
-		// the read round trip that would otherwise gate the pipeline.
+		// a read round trip per write.
 		if !x.opts.Versioned {
 			p, found, err := x.valueOf(table, key)
 			if err != nil {
@@ -543,19 +535,10 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 		Value: val, Versioned: x.opts.Versioned}
 	rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: x.lastLSN,
 		Payload: encodeOpPayload(op, prior, priorFound)}
-	op.Epoch = x.tc.Epoch() // before the LSN assignment; see postOp
+	op.Epoch = x.tc.Epoch() // before the LSN assignment; see queue
 	lsn := x.tc.log.AppendAssign(rec)
 	op.LSN = lsn
-	if x.tc.pipelined() {
-		x.tc.postOp(x, op, dcIdx)
-	} else {
-		res := x.tc.performOn(x.sendCtx, x.tc.dcs[dcIdx], op)
-		if res.Code != base.CodeOK {
-			// Cannot happen given the pre-checks (the lock freezes the key);
-			// surface loudly if the invariant is ever broken.
-			return fmt.Errorf("tc: logged op failed at DC: %v -> %v", op, res.Code)
-		}
-	}
+	x.queue(op, dcIdx)
 	if x.firstLSN == 0 {
 		x.firstLSN = lsn
 	}
@@ -580,28 +563,196 @@ func (x *Txn) write(kind base.OpKind, table, key string, val []byte) error {
 // component, a cancelled wait) would otherwise classify as transient.
 var ErrCommitAmbiguous = errors.New("tc: commit outcome decided by the log, not by this error")
 
-// Commit makes the transaction durable: append and force the commit
-// record (group commit), finalize versioned writes (§6.2.2 — removing the
-// before versions; non-blocking for readers, no two-phase commit), then
-// release locks (strict two-phase locking).
+// ErrTCStopped is recorded against a transaction's logged operations when
+// the TC is closed, its DC stub is closed, or its incarnation crashes
+// before their acknowledgements arrive. The operations themselves are in
+// the TC-log: recovery re-delivers or undoes them, so the error reports an
+// interrupted session, not lost data. It folds into the taxonomy as a
+// component-unavailable failure.
+var ErrTCStopped = fmt.Errorf("tc: stopped with logged operations unacknowledged: %w", base.ErrUnavailable)
+
+// maxShipBatch caps the operations in one shipped PerformBatch message:
+// wire frames are bounded, and a huge transaction ships in chunks.
+const maxShipBatch = 64
+
+// queue adds a logged operation to the transaction's outgoing list for the
+// DC the caller resolved with dcIndex before the record was appended (only
+// routable operations consume logged LSNs). op.Epoch must have been
+// stamped *before* the op's LSN was assigned: a crash+restart racing the
+// append mints the new epoch before the reused LSN space is handed out, so
+// an op whose LSN belongs to the dead incarnation's log can never carry
+// the live epoch and feed its ack into the reset tracker under a reused
+// LSN (nor pass the DC's fence).
+func (x *Txn) queue(op *base.Op, dcIdx int) {
+	if x.out == nil {
+		x.out = make([][]*base.Op, len(x.tc.dcs))
+	}
+	x.out[dcIdx] = append(x.out[dcIdx], op)
+}
+
+// flush ships the transaction's outgoing operations from its own
+// goroutine: per DC, in log order, one PerformBatch per chunk of up to
+// maxShipBatch ops. Logged writes need no reply before a barrier — the X
+// lock freezes the key, the pre-check (or versioned-upsert semantics)
+// guarantees the outcome, and the record is in the TC-log, so the §4.2
+// resend/redo contract delivers it even across failures — and the
+// barriers are the points that rely on DC state: scans and unlocked reads
+// (drain), Abort before undo, and Commit before releasing locks (strict
+// 2PL keeps other transactions off the keys until then). An op's LSN
+// completes only when acknowledged, so the low-water mark never passes an
+// open transaction's writes.
 //
-// With pipelining on, the commit-record force overlaps draining the
-// transaction's outstanding DC acks — the two waits proceed concurrently —
-// and locks are released only after both (plus the finalize barrier for
-// versioned writes) complete, so no other transaction can observe a
-// not-yet-applied write. A barrier failure (the TC was closed or crashed
-// underneath a committing transaction) is reported, but the commit record
-// is already durable: restart treats the transaction as a winner and
-// re-delivers its logged operations.
+// ctx only bounds the wait. A cancelled flush returns the ErrCancelled-
+// wrapped error and keeps every unacknowledged op queued for a later
+// flush to resend (DC idempotence absorbs whatever did land), so an
+// abandoned op can never be overtaken by its own inverse. Other failures
+// are permanent: the ops are retired and the error is sticky.
+func (x *Txn) flush(ctx context.Context) error {
+	if x.shipErr != nil {
+		return x.shipErr
+	}
+	for i, ops := range x.out {
+		for len(ops) > 0 {
+			n := min(len(ops), maxShipBatch)
+			err := x.ship(ctx, x.tc.dcs[i], ops[:n])
+			if errors.Is(err, base.ErrCancelled) {
+				x.out[i] = ops
+				return err
+			}
+			if err != nil && x.shipErr == nil {
+				x.shipErr = err
+			}
+			ops = ops[n:]
+		}
+		x.out[i] = x.out[i][:0]
+	}
+	return x.shipErr
+}
+
+// ship delivers one chunk to DC handle h and feeds the ack tracker.
+// CodeUnavailable (the DC is down or restarting) triggers a paced resend
+// of the whole chunk — the §4.2 resend contract; per-operation idempotence
+// at the DC absorbs re-execution of operations that did land.
+func (x *Txn) ship(ctx context.Context, h *dcHandle, ops []*base.Op) error {
+	t := x.tc
+	var err error
+	backoff := 200 * time.Microsecond
+	for {
+		// Deliver only ops logged by the live incarnation: a chunk parked in
+		// this retry loop across a TC crash+restart must not reach the DC —
+		// its records vanished with the unforced log tail, so executing it
+		// would apply writes no undo covers and record reused LSNs in the
+		// abstract-LSN tables (poisoning the restarted TC's idempotence
+		// checks). A chunk already on the wire when the crash hit is beyond
+		// this check's reach; the DC-side epoch fence installed by
+		// BeginRestart refuses it there (CodeStaleEpoch), closing the window
+		// end to end. Both checks compare the same stamp: op.Epoch.
+		if live, dead := liveOps(ops, t.Epoch()); dead {
+			err, ops = ErrTCStopped, live
+		}
+		if len(ops) == 0 {
+			return err
+		}
+		if werr := h.waitReady(ctx); werr != nil {
+			return werr
+		}
+		// Singleton chunks are the service's concern: the wire stub
+		// already degrades them to a plain Perform message.
+		results := h.svc.PerformBatch(ctx, ops)
+		t.opsSent.Add(uint64(len(ops)))
+		if !slices.ContainsFunc(results, unacked) {
+			return x.complete(ops, results, err)
+		}
+		if ctx.Err() != nil {
+			return base.CancelErr(ctx)
+		}
+		// A closed wire client answers every call with CodeUnavailable
+		// forever; retrying would wedge barriers that its Close contract
+		// ("fail outstanding calls") promises to unblock. Probe for it so
+		// out-of-order shutdowns (stubs closed before the TC) still
+		// terminate; a plain recovering DC keeps the resend loop.
+		if c, ok := h.svc.(interface{ Closed() bool }); ok && c.Closed() {
+			return ErrTCStopped
+		}
+		select {
+		case <-t.stopCh:
+			return ErrTCStopped
+		case <-ctx.Done():
+			return base.CancelErr(ctx)
+		case <-time.After(backoff):
+		}
+		if backoff < 50*time.Millisecond {
+			backoff *= 2
+		}
+	}
+}
+
+// liveOps returns the ops stamped with the live epoch and whether any
+// were dropped; the common all-live case does not copy.
+func liveOps(ops []*base.Op, epoch base.Epoch) ([]*base.Op, bool) {
+	dead := func(op *base.Op) bool { return op.Epoch != epoch }
+	if !slices.ContainsFunc(ops, dead) {
+		return ops, false
+	}
+	return slices.DeleteFunc(slices.Clone(ops), dead), true
+}
+
+// unacked reports a result that does not acknowledge its op: missing,
+// unavailable, or cancelled. A chunk holding one is resent.
+func unacked(r *base.Result) bool {
+	return r == nil || r.Code == base.CodeUnavailable || r.Code == base.CodeCancelled
+}
+
+// complete feeds the ack tracker from one acknowledged chunk and returns
+// the first failure (err, if already set, comes first). Ops logged by a
+// prior TC incarnation (the TC crashed while the chunk was on the wire)
+// must not touch the reset ack tracker: their LSN space is being reused.
+// A stale-epoch nack from the DC means the op never executed — the fence
+// fired mid-flight — so its LSN must not complete either.
+func (x *Txn) complete(ops []*base.Op, results []*base.Result, err error) error {
+	t := x.tc
+	epoch := t.Epoch()
+	for i, op := range ops {
+		var opErr error
+		switch res := results[i]; {
+		case op.Epoch != epoch:
+			opErr = ErrTCStopped
+		case res.Code == base.CodeStaleEpoch:
+			opErr = fmt.Errorf("tc: logged op fenced at DC: %v: %w", op, base.ErrStaleEpoch)
+		default:
+			t.acks.Complete(op.LSN)
+			if res.Code != base.CodeOK {
+				// Cannot happen given the pre-check + X-lock invariant;
+				// surface loudly at the barrier if it is ever broken.
+				opErr = fmt.Errorf("tc: logged op failed at DC: %v -> %v", op, res.Code)
+			}
+		}
+		if err == nil {
+			err = opErr
+		}
+	}
+	return err
+}
+
+// Commit makes the transaction durable: append and force the commit
+// record (group commit), ship the transaction's writes, finalize versioned
+// writes (§6.2.2 — removing the before versions; non-blocking for readers,
+// no two-phase commit), then release locks (strict two-phase locking).
+// Locks are released only after every shipped operation is acknowledged,
+// so no other transaction can observe a not-yet-applied write. A delivery
+// failure (the TC or its DC stub was closed, or the TC crashed underneath
+// a committing transaction) is reported, but the commit record is already
+// appended: restart decides the outcome and re-delivers a winner's logged
+// operations.
 //
 // Cancellation abandons the waits, never the protocol: Commit returns
 // promptly with an error wrapping ErrCommitAmbiguous and base.ErrCancelled
 // (the commit record is already appended, so the outcome is whatever the
 // log decides), but the transaction's locks are NOT released early — a
-// detached finisher holds them until every shipped operation is
-// acknowledged and the commit record is stable, preserving strict 2PL: no
-// other transaction can observe a not-yet-applied write or a
-// not-yet-durable commit.
+// detached finisher holds them until every operation is acknowledged and
+// the commit record is stable, preserving strict 2PL: no other
+// transaction can observe a not-yet-applied write or a not-yet-durable
+// commit.
 func (x *Txn) Commit() error {
 	if x.state != txnActive {
 		return ErrTxnDone
@@ -631,11 +782,11 @@ func (x *Txn) Commit() error {
 		Payload: encodeCommit(vkeys, x.commitTS)}
 	cLSN := t.log.AppendAssign(rec)
 	t.acks.Complete(cLSN) // local record: no DC round trip
-	// The force runs in a goroutine when it must overlap the ack barrier
-	// (pipelined) or be abandonable (cancellable ctx); forced is nil when
-	// it already completed inline.
+	// The force runs in a goroutine, overlapping the writes' delivery, only
+	// when a cancellable ctx may need to abandon it; forced is nil when it
+	// already completed inline.
 	var forced chan struct{}
-	if t.pipelined() || x.ctx.Done() != nil {
+	if x.ctx.Done() != nil {
 		forced = make(chan struct{})
 		go func() {
 			t.log.ForceTo(cLSN)
@@ -644,71 +795,65 @@ func (x *Txn) Commit() error {
 	} else {
 		t.log.ForceTo(cLSN)
 	}
-	var barrierErr error
-	if t.pipelined() {
-		barrierErr = x.pend.wait(x.ctx)
-	}
-	if forced != nil && barrierErr == nil {
+	err := x.flush(x.ctx)
+	if forced != nil && err == nil {
 		select {
 		case <-forced:
 		case <-x.ctx.Done():
-			barrierErr = base.CancelErr(x.ctx)
+			err = base.CancelErr(x.ctx)
 		}
 	}
 	// Push the new stable boundary to the DCs promptly: cached pages with
 	// this transaction's operations become flushable (causality).
 	t.broadcastWatermarks()
-	// detach hands the rest of the commit protocol to a background
-	// finisher so a cancelled caller returns promptly: drain outstanding
-	// acks, send any finalize operations not yet issued (their delivery
-	// can block arbitrarily on a down DC — the commit record already
-	// carries the versioned write set, so restart re-finalizes winners
-	// regardless), wait out the force, then release the locks.
-	detach := func(finalize bool) error {
-		go func() {
-			_ = x.pend.wait(context.Background())
-			if finalize {
-				for _, tk := range vkeys {
-					x.finalizeOp(base.OpCommitVersions, tk)
-				}
-				_ = x.pend.wait(context.Background())
-			}
-			<-forced
-			x.finish()
-		}()
-		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, barrierErr)
-	}
 	x.state = txnCommitted
 	t.commits.Add(1)
-	if errors.Is(barrierErr, base.ErrCancelled) {
-		return detach(true)
+	if errors.Is(err, base.ErrCancelled) {
+		return x.detach(forced, vkeys, err)
 	}
-	// §6.2.2: "When an updating TC commits the transaction, it sends
-	// updates to the DC to eliminate the before versions." These are
-	// logged so restart re-delivers them for winners. Pipelined, they ride
-	// the same per-DC queues (ordered after the writes they finalize) and
-	// are drained before lock release.
-	for _, tk := range vkeys {
-		x.finalizeOp(base.OpCommitVersions, tk)
-	}
-	if t.pipelined() && barrierErr == nil {
-		barrierErr = x.pend.wait(x.ctx)
-		if errors.Is(barrierErr, base.ErrCancelled) {
-			return detach(false)
+	if err == nil {
+		// §6.2.2: "When an updating TC commits the transaction, it sends
+		// updates to the DC to eliminate the before versions." These are
+		// logged so restart re-delivers them for winners, and ship only
+		// once the commit record is stable.
+		for _, tk := range vkeys {
+			x.finalizeOp(tk)
+		}
+		if err = x.flush(x.ctx); errors.Is(err, base.ErrCancelled) {
+			return x.detach(forced, nil, err)
 		}
 	}
-	if barrierErr != nil {
-		// Non-cancel failures only surface with the barrier fully drained
-		// (pend.wait returns sticky errors at zero outstanding), so locks
-		// can release now; still see the force through, as before.
+	if err != nil {
+		// A permanent delivery failure retired the unacknowledged ops, so
+		// locks can release now; still see the force through.
 		if forced != nil {
 			<-forced
 		}
 		x.finish()
-		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, barrierErr)
+		return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, err)
 	}
 	x.finish()
 	return nil
+}
+
+// detach hands the rest of a cancelled commit to a background finisher so
+// the caller returns promptly: ship what is still unacknowledged, wait out
+// the force, send the finalize operations not yet issued (vkeys; their
+// delivery can block arbitrarily on a down DC — the commit record already
+// carries the versioned write set, so restart re-finalizes winners
+// regardless), then release the locks. forced is non-nil: only a
+// cancellable ctx can cancel.
+func (x *Txn) detach(forced chan struct{}, vkeys []tableKey, err error) error {
+	go func() {
+		_ = x.flush(context.Background())
+		<-forced
+		for _, tk := range vkeys {
+			x.finalizeOp(tk)
+		}
+		_ = x.flush(context.Background())
+		x.finish()
+	}()
+	return fmt.Errorf("tc: commit barrier for txn %d: %w: %w", x.id, ErrCommitAmbiguous, err)
 }
 
 // finish releases the transaction's locks and drops it from the table:
@@ -738,7 +883,9 @@ func (x *Txn) finish() {
 	t.mu.Unlock()
 }
 
-func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
+// finalizeOp logs and queues the §6.2.2 commit-versions operation for one
+// versioned key.
+func (x *Txn) finalizeOp(tk tableKey) {
 	t := x.tc
 	// The forward write resolved this key's placement when it was issued,
 	// so under a stable placement this cannot fail; resolving before the
@@ -753,26 +900,22 @@ func (x *Txn) finalizeOp(kind base.OpKind, tk tableKey) {
 	// visible to snapshot reads at or above it. The payload keeps the TS
 	// (only LSN and epoch are zeroed), so restart redo re-finalizes at the
 	// same timestamp.
-	op := &base.Op{TC: t.cfg.ID, Kind: kind, Table: tk.table, Key: tk.key, TS: x.commitTS}
+	op := &base.Op{TC: t.cfg.ID, Kind: base.OpCommitVersions, Table: tk.table, Key: tk.key, TS: x.commitTS}
 	rec := &wal.Record{Kind: recOp, Txn: x.id, Prev: 0,
 		Payload: encodeOpPayload(op, nil, false)}
-	op.Epoch = t.Epoch() // before the LSN assignment; see postOp
+	op.Epoch = t.Epoch() // before the LSN assignment; see queue
 	op.LSN = t.log.AppendAssign(rec)
-	if t.pipelined() {
-		t.postOp(x, op, idx)
-	} else {
-		// Logged: delivery must complete regardless of cancellation.
-		t.performOn(x.sendCtx, t.dcs[idx], op)
-	}
+	x.queue(op, idx)
 }
 
 // Abort rolls the transaction back: walk the undo chain in reverse
 // chronological order, sending inverse logical operations (logged as
 // compensation records so restart never undoes twice), then release locks
-// (§4.1.1(2b)). Outstanding pipelined writes are drained first so an
-// inverse can never overtake the forward operation it undoes. Abort does
-// not honor cancellation: the rollback protocol must complete before the
-// locks can be released (a cancelled transaction still aborts cleanly).
+// (§4.1.1(2b)). The transaction's unshipped writes are flushed first so
+// every inverse finds its forward operation applied and can never overtake
+// it. Abort does not honor cancellation: the rollback protocol must
+// complete before the locks can be released (a cancelled transaction
+// still aborts cleanly).
 func (x *Txn) Abort() error {
 	if x.state != txnActive {
 		if x.state == txnAborted {
@@ -781,7 +924,7 @@ func (x *Txn) Abort() error {
 		return ErrTxnDone
 	}
 	t := x.tc
-	_ = x.pend.wait(context.Background()) // barrier failures still leave the log authoritative
+	_ = x.flush(context.Background()) // delivery failures still leave the log authoritative
 	t.undoChain(x.id, x.lastLSN)
 	aLSN := t.log.AppendAssign(&wal.Record{Kind: recAbort, Txn: x.id, Prev: x.lastLSN})
 	t.acks.Complete(aLSN) // local record: no DC round trip
@@ -817,7 +960,7 @@ func (t *TC) undoChain(txn base.TxnID, lastLSN base.LSN) {
 				}
 				clr := &wal.Record{Kind: recCLR, Txn: txn, Prev: cur,
 					NextUndo: rec.Prev, Payload: encodeOpPayload(inv, nil, false)}
-				inv.Epoch = t.Epoch() // before the LSN assignment; see postOp
+				inv.Epoch = t.Epoch() // before the LSN assignment; see queue
 				inv.LSN = t.log.AppendAssign(clr)
 				t.performOn(context.Background(), t.dcs[idx], inv)
 				t.undoOps.Add(1)

@@ -36,9 +36,9 @@ import (
 // big-endian length so a reader can frame without parsing.
 
 // maxFrameBytes bounds a single decoded frame (stream framing refuses
-// anything larger before allocating). Batches are capped well below this
-// by tc.Config.MaxBatch; the limit exists so a corrupt or hostile length
-// prefix cannot drive allocation.
+// anything larger before allocating). The TC ships batches of at most 64
+// operations, well below this; the limit exists so a corrupt or hostile
+// length prefix cannot drive allocation.
 const maxFrameBytes = 1 << 26 // 64 MiB
 
 var errBadFrame = fmt.Errorf("wire: corrupt frame")

@@ -26,12 +26,10 @@ import (
 // connections). The client's resend loop plus DC idempotence absorb all of
 // it — the protocol does not trust the transport.
 
-// ListenConfig shapes the server runtime behind a Listener. The zero
-// value is the production default: a sharded worker pool sized to the
-// machine, bounded per-worker queues with typed overload refusals when
-// they fill, and coalesced ack frames. The two bool knobs each restore
-// one pre-pool behaviour, mostly so benchmarks (and mixed-version peers,
-// for FlatAcks) can measure the old runtime against the new one.
+// ListenConfig shapes the server runtime behind a Listener: a sharded
+// worker pool, bounded per-worker queues with typed overload refusals when
+// they fill, and coalesced ack frames. The zero value sizes the pool to
+// the machine.
 type ListenConfig struct {
 	// Workers is the number of pool workers executing Perform and
 	// PerformBatch requests (default: 2×GOMAXPROCS).
@@ -40,15 +38,6 @@ type ListenConfig struct {
 	// every queue full, further requests are refused with a typed
 	// transient base.ErrOverloaded instead of queueing unboundedly.
 	QueueDepth int
-	// PerRequest restores the unbounded goroutine-per-request dispatch:
-	// no pool, no queues, no admission control. Baseline for throughput
-	// benchmarks.
-	PerRequest bool
-	// FlatAcks disables reply coalescing: every reply leaves in its own
-	// msgReply frame. The default batches replies that accumulate while
-	// a flush is on the wire into one msgReplyBatch frame (clients before
-	// that kind existed need FlatAcks).
-	FlatAcks bool
 }
 
 func (c ListenConfig) withDefaults() ListenConfig {
@@ -69,8 +58,7 @@ func (c ListenConfig) withDefaults() ListenConfig {
 type Listener struct {
 	ln   net.Listener
 	svc  base.Service
-	cfg  ListenConfig
-	pool *workerPool // nil in PerRequest mode
+	pool *workerPool
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -95,10 +83,8 @@ func ListenWith(addr string, svc base.Service, cfg ListenConfig) (*Listener, err
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	l := &Listener{ln: ln, svc: svc, cfg: cfg, conns: make(map[net.Conn]struct{})}
-	if !cfg.PerRequest {
-		l.pool = newWorkerPool(cfg.Workers, cfg.QueueDepth)
-	}
+	l := &Listener{ln: ln, svc: svc, conns: make(map[net.Conn]struct{}),
+		pool: newWorkerPool(cfg.Workers, cfg.QueueDepth)}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l, nil
@@ -131,12 +117,10 @@ func (l *Listener) Close() error {
 		c.Close()
 	}
 	l.wg.Wait()
-	if l.pool != nil {
-		// The readers are gone (no further dispatch); let the workers
-		// finish everything already admitted, then stop them. Queued work
-		// executes even across shutdown — admission is a promise.
-		l.pool.close()
-	}
+	// The readers are gone (no further dispatch); let the workers finish
+	// everything already admitted, then stop them. Queued work executes
+	// even across shutdown — admission is a promise.
+	l.pool.close()
 	return err
 }
 
@@ -144,9 +128,7 @@ func (l *Listener) Close() error {
 // admissions/refusals, live and per-worker queue depth against the hard
 // cap, and ack-coalescing effectiveness.
 func (l *Listener) RegisterStats(g *stats.Group) {
-	if l.pool != nil {
-		l.pool.registerStats(g)
-	}
+	l.pool.registerStats(g)
 	g.Func("ack_batches", l.ackBatches.Load)
 	g.Func("acks_coalesced", l.acksCoalesced.Load)
 	g.Func("conns", func() uint64 {
@@ -179,9 +161,7 @@ func (l *Listener) acceptLoop() {
 func (l *Listener) serveConn(conn net.Conn) {
 	defer l.wg.Done()
 	sc := &srvConn{conn: conn, bw: bufio.NewWriter(conn)}
-	if !l.cfg.FlatAcks {
-		sc.acks = &ackBatcher{out: sc.writeBatch, batches: &l.ackBatches, coalesced: &l.acksCoalesced}
-	}
+	sc.acks = &ackBatcher{out: sc.writeBatch, batches: &l.ackBatches, coalesced: &l.acksCoalesced}
 	br := bufio.NewReader(conn)
 	for {
 		m, err := readStreamFrame(br)
@@ -199,7 +179,7 @@ func (l *Listener) serveConn(conn net.Conn) {
 // handle dispatches one inbound frame, mirroring the simulated Server.run:
 // watermarks apply inline; Perform/PerformBatch run on the worker pool
 // (least-busy shard, bounded queue, typed overload refusal when every
-// queue is full — or their own goroutine in PerRequest mode); the rare
+// queue is full); the rare
 // control requests run in their own goroutines so a slow checkpoint or
 // recovery sweep never head-of-line-blocks the connection and is never
 // refused by admission control. Spawned goroutines join the listener's
@@ -262,15 +242,10 @@ func (l *Listener) spawn(f func()) {
 // a shed request as base.ErrOverloaded.
 var overloadedErrText = "wire: worker queues full: " + base.ErrOverloaded.Error()
 
-// run executes one replying request: on the pool when one is configured —
-// refusing with a typed transient overload when every queue is full, the
-// request never having touched the service — or on its own goroutine in
-// PerRequest mode.
+// run executes one replying request on the pool, refusing with a typed
+// transient overload when every queue is full (the request never having
+// touched the service).
 func (l *Listener) run(sc *srvConn, id uint64, job func()) {
-	if l.pool == nil {
-		l.spawn(job)
-		return
-	}
 	if !l.pool.dispatch(job) {
 		sc.reply(&message{kind: msgReply, id: id, err: overloadedErrText})
 	}
@@ -279,7 +254,7 @@ func (l *Listener) run(sc *srvConn, id uint64, job func()) {
 // srvConn serializes reply writes onto one accepted connection.
 type srvConn struct {
 	conn net.Conn
-	acks *ackBatcher // nil with ListenConfig.FlatAcks
+	acks *ackBatcher
 	wmu  sync.Mutex
 	bw   *bufio.Writer
 	buf  []byte
@@ -291,15 +266,8 @@ type srvConn struct {
 // connection failure the resend/redial machinery already handles.
 const writeTimeout = 5 * time.Second
 
-// reply routes one reply through the connection's ack coalescer (or
-// straight to the socket with FlatAcks).
-func (sc *srvConn) reply(m *message) {
-	if sc.acks != nil {
-		sc.acks.add(m)
-		return
-	}
-	sc.writeBatch([]*message{m})
-}
+// reply routes one reply through the connection's ack coalescer.
+func (sc *srvConn) reply(m *message) { sc.acks.add(m) }
 
 // writeBatch flushes one coalesced batch as a single frame: a plain
 // msgReply when it holds one reply (byte-identical to the uncoalesced

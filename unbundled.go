@@ -92,7 +92,7 @@
 //
 // Every wait in the stack honors the transaction's context: lock-manager
 // queues, wire send/resend loops and unavailable-retry pauses, the
-// pipelined commit's ack barrier, and simulated log-force latency. A
+// commit's ack barrier, and simulated log-force latency. A
 // cancelled wait returns promptly with an error that errors.Is-matches
 // both ErrCancelled and the context's own error. One thing is deliberately
 // not cancellable: the delivery of an already-logged write. Its record is
@@ -117,25 +117,26 @@
 // # Pipelined operation shipping
 //
 // The cost of unbundling is that every logical operation crosses a TC:DC
-// message boundary (§4.2). With TCConfig.Pipeline, logged writes no longer
-// wait for that round trip: their outcome is already decided when they are
-// sent — the X lock freezes the key and the pre-check (or, for versioned
-// upserts, the operation's own semantics) guarantees success at the DC —
-// and the operation is in the TC-log, so the resend/redo contract delivers
-// it even across failures. The TC appends the op record, posts the op into
-// a per-DC pipeline, and returns to the transaction immediately.
+// message boundary (§4.2). Logged writes do not wait for that round trip:
+// their outcome is already decided when they are logged — the X lock
+// freezes the key and the pre-check (or, for versioned upserts, the
+// operation's own semantics) guarantees success at the DC — and the
+// operation is in the TC-log, so the resend/redo contract delivers it even
+// across failures. A write appends its op record, joins its transaction's
+// outgoing list, and returns to the transaction immediately.
 //
-// Each pipeline keeps exactly one batch in flight per DC: operations
-// queued behind it are coalesced into a single PerformBatch wire message
-// (per-op results in the reply) that the DC executes in arrival order, so
-// the logical operation stream per DC never reorders and each op keeps its
-// LSN request ID for resend idempotence. The ack barrier sits at commit:
-// Commit appends the commit record, then overlaps forcing it with draining
-// the transaction's outstanding DC acknowledgements, and releases locks
-// only after both — no other transaction can ever observe a
-// not-yet-applied write, preserving strict two-phase locking semantics
-// while transaction latency drops from ops x RTT toward one RTT per batch.
-// Abort drains before sending inverse operations, and scans drain for
+// The transaction's own goroutine ships that list at its barriers: one
+// PerformBatch wire message per DC (chunks of at most 64 operations,
+// per-op results in the reply) that the DC executes in order, so the
+// transaction's operation stream per DC never reorders and each op keeps
+// its LSN request ID for resend idempotence. The barriers are exactly the
+// points that rely on DC state. Commit appends and forces the commit
+// record, ships the writes, then the versioned writes' finalize
+// operations, and releases locks only after every one is acknowledged —
+// no other transaction can ever observe a not-yet-applied write,
+// preserving strict two-phase locking while transaction latency drops
+// from ops x RTT toward one RTT per batch. Abort ships before sending
+// inverse operations, and scans and unlocked reads ship first for
 // read-your-writes (point reads are answered by the transaction cache).
 //
 // # Networked deployment
@@ -181,29 +182,28 @@
 // layer directly; through Client.RunTxn, backpressure surfaces as
 // latency, never as an error. Replies that accumulate while a reply
 // flush is on the wire leave as one coalesced batch frame (group commit
-// for acks); ListenConfig.PerRequest and FlatAcks each restore one
-// pre-pool behaviour for comparison. cmd/unbundled-dc exposes the knobs
-// as -workers and -queue-depth.
+// for acks). cmd/unbundled-dc exposes the knobs as -workers and
+// -queue-depth.
 //
 // The open-loop throughput harness measures this runtime the way real
 // traffic would: transactions arrive on a fixed schedule whatever the
 // system is doing, and latency is measured from the scheduled arrival —
 // queueing delay counts against the system instead of slowing the load
 // down (the "coordinated omission" correction). cmd/unbundled-bench
-// -throughput compares the per-request baseline against the sharded
-// runtime at the same offered rate; BenchmarkThroughputOpenLoop gates
-// the completed-txn/s floor and p99 ceiling in CI.
+// -throughput reports the runtime at a chosen offered rate;
+// BenchmarkThroughputOpenLoop gates the completed-txn/s floor and p99
+// ceiling in CI.
 //
 // # Operations plane
 //
 // Both binaries expose an HTTP admin endpoint with -admin <addr>: /stats
 // is a JSON snapshot of every component's counters (TC transaction and
-// pipeline counters, DC operation and recovery counters, per-connection
+// shipping counters, DC operation and recovery counters, per-connection
 // wire counters — one schema over both transports), /healthz reports
 // drain state (503 while draining, so health-checking load balancers
 // eject the instance), and /drain + /undrain quiesce and restore the
 // component. Draining is an admission gate, not a shutdown: in-flight
-// transactions finish (including the pipelined ack barrier), new work is
+// transactions finish (including the commit's ack barrier), new work is
 // refused with the transient ErrDraining — which auto-routed clients ride
 // out by retrying onto an undrained peer — and /healthz reports
 // "quiesced" once nothing is left in flight. Drain state dies with the
@@ -216,9 +216,9 @@
 // # Restart safety: incarnation epochs
 //
 // A restarted TC reuses the LSN space above its stable log end (§5.3.2),
-// so a request the dead incarnation still had on the wire — a pipelined
-// batch, a synchronous resend, a watermark broadcast, even a checkpoint
-// call — must never take effect afterwards: its log record died with the
+// so a request the dead incarnation still had on the wire — a shipped
+// batch, a resend, a watermark broadcast, even a checkpoint call — must
+// never take effect afterwards: its log record died with the
 // unforced tail, and executing it would both apply a write no undo covers
 // and record a reused LSN in the DC's abstract-LSN idempotence tables.
 //
@@ -283,9 +283,9 @@ type (
 	// (Options.DCAddrs pointing at cmd/unbundled-dc processes).
 	DialConfig = wire.DialConfig
 	// ListenConfig shapes the server runtime behind a networked DC: worker
-	// pool size, per-worker queue depth (past which requests are refused
-	// with ErrOverloaded), and the PerRequest/FlatAcks baseline switches.
-	// cmd/unbundled-dc surfaces it as -workers and -queue-depth.
+	// pool size and per-worker queue depth (past which requests are
+	// refused with ErrOverloaded). cmd/unbundled-dc surfaces it as
+	// -workers and -queue-depth.
 	ListenConfig = wire.ListenConfig
 	// TC is a transactional component.
 	TC = tc.TC

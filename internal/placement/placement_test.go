@@ -78,8 +78,8 @@ func TestParseErrors(t *testing.T) {
 func TestLookups(t *testing.T) {
 	p := MustParse("kv: dc=hash(2) owner=range(<w2:1,*:2); idx: dc=1 owner=mod(2); rev: dc=mod(3) owner=mod2(2)")
 
-	// hash axis matches FNV-32a of the whole key (the cmd's legacy -route
-	// hash behaviour).
+	// hash axis matches FNV-32a of the whole key (the data axis
+	// unbundled-tc derives when -placement is empty).
 	h := fnv.New32a()
 	h.Write([]byte("w1-000001-0"))
 	wantDC := int(h.Sum32() % 2)

@@ -179,10 +179,9 @@ func (l *Listener) serveConn(conn net.Conn) {
 // handle dispatches one inbound frame, mirroring the simulated Server.run:
 // watermarks apply inline; Perform/PerformBatch run on the worker pool
 // (least-busy shard, bounded queue, typed overload refusal when every
-// queue is full); the rare
-// control requests run in their own goroutines so a slow checkpoint or
-// recovery sweep never head-of-line-blocks the connection and is never
-// refused by admission control. Spawned goroutines join the listener's
+// queue is full); the rare control requests run in their own goroutines
+// so a slow checkpoint or recovery sweep never head-of-line-blocks the
+// connection and is never refused by admission control. Spawned goroutines join the listener's
 // WaitGroup (the spawn happens on the reader goroutine, whose own wg slot
 // is still held, so the Add never races Close's Wait) — Close drains them
 // before returning.

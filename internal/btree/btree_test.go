@@ -35,11 +35,7 @@ func (e *testEnv) ForceSMO(d base.DLSN) { e.dlog.ForceTo(base.LSN(d)) }
 func newEnv(t *testing.T, maxBytes int) *testEnv {
 	t.Helper()
 	e := &testEnv{store: storage.NewPageStore(), roots: map[string]base.PageID{}}
-	var err error
-	e.dlog, err = wal.New(storage.NewLogStore())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e.dlog = wal.New()
 	open := func(base.TCID) base.LSN { return 1 << 60 } // gates open for tree tests
 	e.pool = buffer.New(buffer.Config{Capacity: 64, Strategy: buffer.SyncFull},
 		e.store, buffer.Gates{EOSL: open, LWM: open,

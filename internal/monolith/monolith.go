@@ -66,12 +66,11 @@ type Stats struct {
 
 // Engine is the integrated kernel.
 type Engine struct {
-	cfg    Config
-	store  *storage.PageStore
-	lmedia *storage.LogStore
-	log    *wal.Log
-	pool   *buffer.Pool
-	locks  *lockmgr.Manager
+	cfg   Config
+	store *storage.PageStore
+	log   *wal.Log
+	pool  *buffer.Pool
+	locks *lockmgr.Manager
 
 	mu      sync.Mutex
 	trees   map[string]*btree.Tree
@@ -89,21 +88,16 @@ func New(cfg Config) (*Engine, error) {
 		cfg.PageBytes = 4096
 	}
 	e := &Engine{
-		cfg:    cfg,
-		store:  storage.NewPageStore(),
-		lmedia: storage.NewLogStore(),
-		trees:  make(map[string]*btree.Tree),
-		txns:   make(map[base.TxnID]*Txn),
-		locks:  lockmgr.New(),
-		rssp:   1,
+		cfg:   cfg,
+		store: storage.NewPageStore(),
+		log:   wal.New(),
+		trees: make(map[string]*btree.Tree),
+		txns:  make(map[base.TxnID]*Txn),
+		locks: lockmgr.New(),
+		rssp:  1,
 	}
-	e.lmedia.ForceDelay = cfg.ForceDelay
+	e.log.ForceDelay = cfg.ForceDelay
 	e.locks.Timeout = cfg.LockTimeout
-	var err error
-	e.log, err = wal.New(e.lmedia)
-	if err != nil {
-		return nil, err
-	}
 	e.pool = e.newPool()
 	id := e.store.AllocPageID()
 	if id != catalogPageID {

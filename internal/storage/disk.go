@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,22 +10,20 @@ import (
 	"github.com/cidr09/unbundled/internal/base"
 )
 
-// Disk-backed stable media. The in-memory PageStore/LogStore simulate
-// stable storage for tests and experiments; a standalone DC process
+// Disk-backed page store. The in-memory PageStore simulates stable
+// storage for tests and experiments; a standalone DC process
 // (cmd/unbundled-dc) needs the real thing, or a SIGKILL would take the
 // "stable" half of the §5.3 failure model down with the volatile half.
-// Both stores gain an optional write-through backing: reads stay in
-// memory (the map is an exact image of the directory), every stable
-// mutation also lands in the filesystem, and the Open* constructors
-// rebuild the image from a previous incarnation's files.
+// The store gains an optional write-through backing: reads stay in memory
+// (the map is an exact image of the directory), every stable mutation also
+// lands in the filesystem, and OpenPageStoreDir rebuilds the image from a
+// previous incarnation's files.
 //
-// Durability posture: page writes and log forces go through atomic
-// tmp+rename, and log forces fsync. That survives process kills
-// unconditionally (the page cache belongs to the OS, not the process) and
-// power loss up to the last fsync — the same contract the simulated
-// Crash() models.
+// Durability posture: page writes go through atomic tmp+rename, which
+// survives process kills unconditionally (the page cache belongs to the
+// OS, not the process) — the same contract the simulated Crash() models.
 //
-// The stores' mutation methods have no error returns (they model media
+// The store's mutation methods have no error returns (they model media
 // that either works or is gone); an I/O failure on the backing directory
 // is therefore fatal — the process dies and the failure becomes an
 // ordinary DC crash for the rest of the deployment.
@@ -79,9 +76,10 @@ func (s *PageStore) pagePath(id base.PageID) string {
 	return filepath.Join(s.dir, fmt.Sprintf("p%d", uint32(id)))
 }
 
-// atomicWriteFile writes data to path via a tmp file and rename, so a kill
-// mid-write never leaves a torn page.
-func atomicWriteFile(path string, data []byte, sync bool) error {
+// WriteFileAtomic writes data to path via a tmp file and rename, so a kill
+// mid-write never leaves a torn file. With sync, the tmp file is fsynced
+// before the rename.
+func WriteFileAtomic(path string, data []byte, sync bool) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -124,13 +122,13 @@ func (s *PageStore) ResetForFormat() {
 // map update order per page, or a reopen could resurrect an older version
 // of a page whose newer write was already acknowledged. Page writes are
 // off the commit hot path (flushes and SMO forces), so consistency wins
-// over concurrency here; the log store, which *is* on the commit path,
-// stages its I/O outside the mutex instead.
+// over concurrency here; the log (package wal), which *is* on the commit
+// path, runs its I/O outside its mutex instead.
 func (s *PageStore) persistWrite(id base.PageID, data []byte) {
 	if s.dir == "" {
 		return
 	}
-	if err := atomicWriteFile(s.pagePath(id), data, false); err != nil {
+	if err := WriteFileAtomic(s.pagePath(id), data, false); err != nil {
 		panic(fmt.Sprintf("storage: page %d write to %s: %v", id, s.dir, err))
 	}
 }
@@ -148,138 +146,7 @@ func (s *PageStore) persistAlloc(next uint32) {
 	if s.dir == "" {
 		return
 	}
-	if err := atomicWriteFile(filepath.Join(s.dir, "alloc"), []byte(strconv.FormatUint(uint64(next), 10)), false); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.dir, "alloc"), []byte(strconv.FormatUint(uint64(next), 10)), false); err != nil {
 		panic(fmt.Sprintf("storage: allocator persist in %s: %v", s.dir, err))
-	}
-}
-
-// Log file format: a 16-byte big-endian header — the start index (logical
-// index of the first retained record, advanced by Truncate) and the owner
-// bound (see SetBound) — then length-prefixed records. Force appends the
-// volatile tail and fsyncs; Truncate rewrites the file atomically
-// (checkpoints are rare; simplicity wins).
-
-// OpenLogStoreFile returns a LogStore backed by path, loading the records
-// a previous incarnation forced there. Everything in the file is stable
-// by construction — unforced tails never reach it.
-func OpenLogStoreFile(path string) (*LogStore, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, err
-	}
-	os.Remove(path + ".tmp") // torn truncate rewrite from a kill
-	l := NewLogStore()
-	l.path = path
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if err := atomicWriteFile(path, encodeLogImage(0, 0, nil), true); err != nil {
-			return nil, err
-		}
-		return l, l.reopenFile()
-	}
-	if err != nil {
-		return nil, err
-	}
-	start, bound, recs, err := decodeLogImage(data)
-	if err != nil {
-		return nil, fmt.Errorf("storage: log %s: %w", path, err)
-	}
-	l.start = start
-	l.bound = bound
-	l.stable = recs
-	// A kill mid-append can leave torn bytes after the last whole record.
-	// Rewrite the clean image before appending again, or the garbage would
-	// sit between old and new records and corrupt the next reopen.
-	if clean := encodeLogImage(start, bound, recs); len(clean) != len(data) {
-		if err := atomicWriteFile(path, clean, true); err != nil {
-			return nil, err
-		}
-	}
-	return l, l.reopenFile()
-}
-
-func (l *LogStore) reopenFile() error {
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	l.file = f
-	return nil
-}
-
-func encodeLogImage(start, bound uint64, recs [][]byte) []byte {
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[:8], start)
-	binary.BigEndian.PutUint64(hdr[8:], bound)
-	out := append([]byte(nil), hdr[:]...)
-	for _, r := range recs {
-		out = binary.AppendUvarint(out, uint64(len(r)))
-		out = append(out, r...)
-	}
-	return out
-}
-
-func decodeLogImage(data []byte) (start, bound uint64, recs [][]byte, err error) {
-	if len(data) < 16 {
-		return 0, 0, nil, fmt.Errorf("truncated header")
-	}
-	start = binary.BigEndian.Uint64(data[:8])
-	bound = binary.BigEndian.Uint64(data[8:16])
-	data = data[16:]
-	for len(data) > 0 {
-		n, w := binary.Uvarint(data)
-		if w <= 0 || n > uint64(len(data)-w) {
-			// A kill mid-append can leave a torn final record; everything
-			// before it was covered by an earlier fsync and is kept.
-			break
-		}
-		data = data[w:]
-		rec := make([]byte, n)
-		copy(rec, data[:n])
-		recs = append(recs, rec)
-		data = data[n:]
-	}
-	return start, bound, recs, nil
-}
-
-// imageLocked snapshots the clean file image; callers hold mu.
-func (l *LogStore) imageLocked() []byte {
-	if l.file == nil {
-		return nil
-	}
-	return encodeLogImage(l.start, l.bound, l.stable)
-}
-
-// persistForce appends the tail records that are becoming stable and
-// fsyncs. Called by Force holding fmu (not mu): fmu owns the file handle
-// and serializes all file I/O.
-func (l *LogStore) persistForce(tail [][]byte) {
-	if l.file == nil {
-		return
-	}
-	var buf []byte
-	for _, r := range tail {
-		buf = binary.AppendUvarint(buf, uint64(len(r)))
-		buf = append(buf, r...)
-	}
-	if _, err := l.file.Write(buf); err != nil {
-		panic(fmt.Sprintf("storage: log append %s: %v", l.path, err))
-	}
-	if err := l.file.Sync(); err != nil {
-		panic(fmt.Sprintf("storage: log fsync %s: %v", l.path, err))
-	}
-}
-
-// persistTruncate rewrites the backing file to the given clean image.
-// Called by Truncate holding fmu (not mu), after l.stable/l.start moved.
-func (l *LogStore) persistTruncate(img []byte) {
-	if l.file == nil {
-		return
-	}
-	if err := atomicWriteFile(l.path, img, true); err != nil {
-		panic(fmt.Sprintf("storage: log truncate rewrite %s: %v", l.path, err))
-	}
-	l.file.Close()
-	if err := l.reopenFile(); err != nil {
-		panic(fmt.Sprintf("storage: log reopen %s: %v", l.path, err))
 	}
 }

@@ -65,116 +65,3 @@ func TestPageStoreDirCleansTornTmp(t *testing.T) {
 		t.Fatal("torn tmp surfaced as a page")
 	}
 }
-
-func TestLogStoreFileReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append([]byte("r0"))
-	l.Append([]byte("r1"))
-	l.Force()
-	l.Append([]byte("r2-unforced")) // volatile tail: must not survive
-
-	r, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := r.Scan(0)
-	if len(recs) != 2 || string(recs[0]) != "r0" || string(recs[1]) != "r1" {
-		t.Fatalf("reopened records: %q", recs)
-	}
-	if r.End() != 2 {
-		t.Fatalf("reopened end = %d", r.End())
-	}
-
-	// Appends continue at the right logical index and survive another cycle.
-	if idx := r.Append([]byte("r2")); idx != 2 {
-		t.Fatalf("append after reopen at index %d", idx)
-	}
-	r.Force()
-	r.Truncate(2)
-
-	r2, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Start() != 2 {
-		t.Fatalf("start after truncate+reopen = %d", r2.Start())
-	}
-	recs = r2.Scan(0)
-	if len(recs) != 1 || string(recs[0]) != "r2" {
-		t.Fatalf("records after truncate+reopen: %q", recs)
-	}
-}
-
-func TestLogStoreFileBoundSurvivesFullTruncation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		l.Append([]byte{byte(i)})
-	}
-	l.Force()
-	l.SetBound(5) // the owner's highest-truncated watermark
-	l.Truncate(5) // discard everything
-
-	r, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Scan(0)) != 0 {
-		t.Fatalf("records survived full truncation: %d", len(r.Scan(0)))
-	}
-	if r.Bound() != 5 {
-		t.Fatalf("bound after full truncation + reopen = %d, want 5", r.Bound())
-	}
-	if r.Start() != 5 {
-		t.Fatalf("start after full truncation + reopen = %d, want 5", r.Start())
-	}
-}
-
-func TestLogStoreFileTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append([]byte("whole"))
-	l.Force()
-	// A kill mid-append can leave a torn final record in the file; the
-	// reopen must keep everything before it.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{200}); err != nil { // claims a 200-byte record, provides none
-		t.Fatal(err)
-	}
-	f.Close()
-
-	r, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := r.Scan(0)
-	if len(recs) != 1 || string(recs[0]) != "whole" {
-		t.Fatalf("records after torn tail: %q", recs)
-	}
-
-	// The torn bytes must not linger between old and new records: append,
-	// force, and reopen once more.
-	r.Append([]byte("after-torn"))
-	r.Force()
-	r2, err := OpenLogStoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs = r2.Scan(0)
-	if len(recs) != 2 || string(recs[1]) != "after-torn" {
-		t.Fatalf("records after append-past-torn reopen: %q", recs)
-	}
-}

@@ -113,10 +113,10 @@ func (t *TC) RegisterStats(g *stats.Group) {
 	g.Func("epoch", t.epoch.Load)
 	g.Func("lwm", func() uint64 { return uint64(t.acks.LWM()) })
 	g.Func("eosl", func() uint64 { return uint64(t.log.EOSL()) })
-	g.Func("log_forces", func() uint64 { return t.log.Media().Forces() })
-	// Forces skipped because a concurrent committer's fsync already
-	// covered the tail — the group-commit win, counted.
-	g.Func("log_forces_noop", func() uint64 { return t.log.Media().NoopForces() })
+	g.Func("log_forces", t.log.Forces)
+	// Force calls a neighbour's fsync already covered — the group-commit
+	// win, counted.
+	g.Func("log_forces_noop", t.log.NoopForces)
 	g.Func("draining", func() uint64 {
 		if t.draining.Load() {
 			return 1

@@ -32,7 +32,6 @@ import (
 	"github.com/cidr09/unbundled/internal/clock"
 	"github.com/cidr09/unbundled/internal/lockmgr"
 	"github.com/cidr09/unbundled/internal/placement"
-	"github.com/cidr09/unbundled/internal/storage"
 	"github.com/cidr09/unbundled/internal/wal"
 )
 
@@ -100,7 +99,7 @@ type Config struct {
 	// versions before the GC horizon releases them (default 10s).
 	SnapshotRetention time.Duration
 	// Dir, when nonempty, backs the TC-log with a file in that directory
-	// (storage.OpenLogStoreFile): forced records survive process death.
+	// (wal.Open): forced records survive process death.
 	// When the directory already holds a previous incarnation's log, New
 	// returns the TC in the needs-recovery state — Recover must run (and
 	// reach the DCs) before the TC serves transactions; core runs it
@@ -191,7 +190,6 @@ func (h *dcHandle) setRecovering(v bool) {
 // TC is one transactional component instance.
 type TC struct {
 	cfg    Config
-	lmedia *storage.LogStore
 	log    *wal.Log
 	locks  *lockmgr.Manager
 	dcs    []*dcHandle
@@ -269,23 +267,16 @@ func New(cfg Config, dcs []base.Service, router placement.Router) (*TC, error) {
 	if router == nil {
 		router = placement.MustParse("*: dc=0")
 	}
-	var lmedia *storage.LogStore
+	log := wal.New()
 	if cfg.Dir != "" {
 		var err error
-		if lmedia, err = storage.OpenLogStoreFile(filepath.Join(cfg.Dir, "tclog")); err != nil {
+		if log, err = wal.Open(filepath.Join(cfg.Dir, "tclog")); err != nil {
 			return nil, fmt.Errorf("tc %d: open tc-log: %w", cfg.ID, err)
 		}
-	} else {
-		lmedia = storage.NewLogStore()
 	}
-	lmedia.ForceDelay = cfg.ForceDelay
-	log, err := wal.New(lmedia)
-	if err != nil {
-		return nil, err
-	}
+	log.ForceDelay = cfg.ForceDelay
 	t := &TC{
 		cfg:         cfg,
-		lmedia:      lmedia,
 		log:         log,
 		locks:       lockmgr.New(),
 		router:      router,

@@ -171,8 +171,9 @@ func Open(path string) (*Log, error) {
 	}
 	l.stable = len(l.recs)
 	l.reset()
-	// A torn final record must go before the next append, or it would sit
-	// between old and new records and corrupt the next reopen.
+	// A new file gets its header. A torn final record must go before the
+	// next append, or it would sit between old and new records and corrupt
+	// the next reopen.
 	if missing || clean < len(data) {
 		if err := storage.WriteFileAtomic(path, appendImage(nil, l.bound, l.recs), true); err != nil {
 			return nil, err

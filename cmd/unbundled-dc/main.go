@@ -34,7 +34,7 @@ func main() {
 	dir := flag.String("dir", "", "data directory for stable media (empty: in-memory, lost on exit)")
 	name := flag.String("name", "dc0", "DC name for diagnostics")
 	pageBytes := flag.Int("page-bytes", 4096, "page split threshold")
-	cache := flag.Int("cache", 0, "buffer-pool capacity in pages (0: unbounded)")
+	cache := flag.Int("cache", 0, "buffer-pool budget in page-bytes-sized pages: the pool evicts once its pages, each charged its encoded size (at most page-bytes), exceed cache×page-bytes bytes (0: default 1024)")
 	workers := flag.Int("workers", 0, "request worker pool size (0: 2x GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 0, "per-worker queue capacity before requests are refused as overloaded (0: default 256)")
 	flag.Parse()

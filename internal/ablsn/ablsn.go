@@ -17,11 +17,18 @@
 // LSNlw may only be advanced to a low-water mark supplied by the TC (the
 // TC has received replies for all operations up to the mark, so there are
 // no gaps among the lower LSNs reflected in the page).
+//
+// The DC advances LSNlw on every write it applies (to min(LWM, EOSL) for
+// the writing TC, just before adding the write's LSN), and the buffer pool
+// advances every TC's entry again before it writes a page. A cached page's
+// {LSNin} therefore holds only the writes the TC has not yet heard back
+// about, not every write since the page was last flushed.
 package ablsn
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -216,6 +223,18 @@ func Decode(buf []byte) (*A, []byte, error) {
 
 var errCorrupt = fmt.Errorf("ablsn: corrupt encoding")
 
-// EncodedSize returns the serialized size in bytes; experiment E2 compares
-// this against the hypothetical cost of per-record LSNs.
-func (a *A) EncodedSize() int { return len(a.Append(nil)) }
+// EncodedSize returns the serialized size in bytes, computed without
+// encoding; experiment E2 compares this against the hypothetical cost of
+// per-record LSNs.
+func (a *A) EncodedSize() int {
+	n := uvarintLen(uint64(a.Low)) + uvarintLen(uint64(a.Max)) + uvarintLen(uint64(len(a.In)))
+	prev := base.LSN(0)
+	for _, l := range a.In {
+		n += uvarintLen(uint64(l - prev))
+		prev = l
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }

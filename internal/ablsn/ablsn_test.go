@@ -340,3 +340,26 @@ func BenchmarkAddAdvance(b *testing.B) {
 		}
 	}
 }
+
+// TestEncodedSizeMatchesAppend checks the arithmetic size against the
+// encoder, for single abstract LSNs and for tables, across varint length
+// boundaries.
+func TestEncodedSizeMatchesAppend(t *testing.T) {
+	f := func(low uint64, raw []uint32, tcs []uint8) bool {
+		a := &A{Low: base.LSN(low >> (low % 64))}
+		for _, r := range raw {
+			a.Add(a.Low + base.LSN(r) + 1)
+		}
+		if a.EncodedSize() != len(a.Append(nil)) {
+			return false
+		}
+		var tab Table
+		for i, tc := range tcs {
+			tab.Ensure(base.TCID(tc)).Add(base.LSN(i) << (i % 60))
+		}
+		return tab.EncodedSize() == len(tab.Append(nil))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,7 +2,7 @@ package ablsn
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"github.com/cidr09/unbundled/internal/base"
 )
@@ -71,12 +71,23 @@ func (t *Table) TCs() []base.TCID {
 	if len(t.m) == 0 {
 		return nil
 	}
-	out := make([]base.TCID, 0, len(t.m))
+	return t.appendTCs(make([]base.TCID, 0, len(t.m)))
+}
+
+// appendTCs appends the TCIDs present to dst in ascending order.
+func (t *Table) appendTCs(dst []base.TCID) []base.TCID {
 	for tc := range t.m {
-		out = append(out, tc)
+		dst = append(dst, tc)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst)
+	return dst
+}
+
+// Each calls fn for every TC's abstract LSN, in no particular order.
+func (t *Table) Each(fn func(base.TCID, *A)) {
+	for tc, a := range t.m {
+		fn(tc, a)
+	}
 }
 
 // Len returns the number of TCs with entries.
@@ -112,9 +123,11 @@ func (t *Table) MaxApplied(tc base.TCID) base.LSN {
 	return 0
 }
 
-// Append serializes the table deterministically (sorted by TCID).
+// Append serializes the table deterministically (sorted by TCID). Pages
+// rarely carry more than a few TCs, so the sort runs in a stack buffer.
 func (t *Table) Append(buf []byte) []byte {
-	tcs := t.TCs()
+	var stack [4]base.TCID
+	tcs := t.appendTCs(stack[:0])
 	buf = binary.AppendUvarint(buf, uint64(len(tcs)))
 	for _, tc := range tcs {
 		buf = binary.AppendUvarint(buf, uint64(tc))
@@ -150,8 +163,15 @@ func DecodeTable(buf []byte) (*Table, []byte, error) {
 	return t, buf, nil
 }
 
-// EncodedSize returns the serialized size in bytes.
-func (t *Table) EncodedSize() int { return len(t.Append(nil)) }
+// EncodedSize returns the serialized size in bytes, computed without
+// encoding.
+func (t *Table) EncodedSize() int {
+	n := uvarintLen(uint64(len(t.m)))
+	for tc, a := range t.m {
+		n += uvarintLen(uint64(tc)) + a.EncodedSize()
+	}
+	return n
+}
 
 // InCountTotal sums |{LSNin}| across TCs (page-sync strategy 3 uses this
 // to decide when the set is "reduced to a manageable size", §5.1.2).

@@ -181,6 +181,19 @@ type Service interface {
 	// resumes normal processing. Fails with ErrStaleEpoch when epoch is
 	// older than the installed fence (a dead incarnation's late call).
 	EndRestart(ctx context.Context, tc TCID, epoch Epoch) error
+	// Incarnation returns the DC's incarnation token: nonzero, and drawn
+	// anew every time the DC loses its cache (a crash, or a reopen of its
+	// stable media). A TC reads it before resending a redo stream and
+	// hands it back in EndRedo. It changes no state.
+	Incarnation(ctx context.Context) (uint64, error)
+	// EndRedo tells the DC that tc has resent its whole redo stream to the
+	// incarnation the token names. A DC that lost its cache applies none
+	// of a TC's low-water marks until that TC's EndRedo: the mark still
+	// counts replies from the lost incarnation, whose effects only the
+	// redo restores. A token naming an earlier incarnation releases
+	// nothing and fails with ErrUnavailable (the redo must run again);
+	// a fenced epoch fails with ErrStaleEpoch.
+	EndRedo(ctx context.Context, tc TCID, epoch Epoch, token uint64) error
 	// SafeTS broadcasts the TC's safe timestamp and version-GC horizon,
 	// fire-and-forget like the watermarks. safe promises that every
 	// versioned commit this TC assigned a timestamp <= safe has been

@@ -16,6 +16,20 @@
 //     LSNlw suffices; SyncFull embeds the entire abstract LSN in the page;
 //     SyncHybrid waits only until the set is "reduced to a manageable
 //     size" and then embeds it.
+//
+// Before the gates are tested a flush advances every TC's LSNlw to
+// min(LWM, EOSL). The DC already prunes the writing TC's entry that way on
+// every write, so this pass only catches up with watermarks that moved
+// since the page was last written.
+//
+// The cache is budgeted in bytes: Capacity pages of PageBytes each. Every
+// frame is charged its page's Size, capped at PageBytes, and the charge is
+// refreshed whenever MarkDirty reports a change, so a pool of well-filled
+// pages holds fewer of them than a pool of near-empty ones. The cap covers
+// the one kind of page a split cannot shrink, a single record whose
+// version history outgrew the page: it fills one page slot, as it did
+// under a frame-count cap, so eviction never leaves fewer than Capacity
+// pages cached.
 package buffer
 
 import (
@@ -24,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/cidr09/unbundled/internal/ablsn"
 	"github.com/cidr09/unbundled/internal/base"
 	"github.com/cidr09/unbundled/internal/page"
 	"github.com/cidr09/unbundled/internal/storage"
@@ -68,8 +83,13 @@ type Gates struct {
 
 // Config shapes the pool.
 type Config struct {
-	// Capacity is the number of cached pages before eviction kicks in.
+	// Capacity is the cache budget counted in PageBytes-sized pages: the
+	// pool evicts once its frames' charges (each page's Size, at most
+	// PageBytes) exceed Capacity×PageBytes bytes (default 1024 pages).
 	Capacity int
+	// PageBytes is the page size the budget is counted in (default 4096);
+	// the DC passes its split threshold.
+	PageBytes int
 	// Strategy is the page-sync strategy.
 	Strategy SyncStrategy
 	// HybridMax is the SyncHybrid set-size threshold.
@@ -79,6 +99,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 1024
+	}
+	if c.PageBytes <= 0 {
+		c.PageBytes = 4096
 	}
 	if c.Strategy == 0 {
 		c.Strategy = SyncFull
@@ -109,6 +132,9 @@ type frame struct {
 	pg  *page.Page
 	pin int
 	el  *list.Element
+	// charge is what the frame counts against the budget, chargeOf(pg)
+	// when last measured (guarded by Pool.mu).
+	charge int
 	// flushWanted marks a SyncBlock flush in progress: appliers must not
 	// add LSNs above barrier (per TC) until the flush completes.
 	flushWanted bool
@@ -117,15 +143,17 @@ type frame struct {
 
 // Pool is the page cache. All methods are safe for concurrent use.
 type Pool struct {
-	cfg   Config
-	store *storage.PageStore
-	gates Gates
+	cfg    Config
+	budget int // Capacity×PageBytes
+	store  *storage.PageStore
+	gates  Gates
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	kickGen uint64
 	frames  map[base.PageID]*frame
 	lru     *list.List // front = most recently used; values are PageIDs
+	charged int        // sum of the frames' charges
 
 	hits, misses, flushes, evictions, flushWaits atomic.Uint64
 	pageBytes, abBytes, barrierHits              atomic.Uint64
@@ -133,7 +161,8 @@ type Pool struct {
 
 // New returns a pool over store with the given gates.
 func New(cfg Config, store *storage.PageStore, gates Gates) *Pool {
-	p := &Pool{cfg: cfg.withDefaults(), store: store, gates: gates,
+	cfg = cfg.withDefaults()
+	p := &Pool{cfg: cfg, budget: cfg.Capacity * cfg.PageBytes, store: store, gates: gates,
 		frames: make(map[base.PageID]*frame), lru: list.New()}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -173,6 +202,7 @@ func (p *Pool) Fetch(id base.PageID) (*page.Page, error) {
 	if err != nil {
 		return nil, err
 	}
+	size := p.chargeOf(pg)
 	p.mu.Lock()
 	if f, ok := p.frames[id]; ok { // lost a race; use the winner
 		f.pin++
@@ -180,35 +210,49 @@ func (p *Pool) Fetch(id base.PageID) (*page.Page, error) {
 		p.mu.Unlock()
 		return f.pg, nil
 	}
-	f := p.insertLocked(pg)
+	f := p.insertLocked(pg, size)
 	f.pin++
 	p.mu.Unlock()
 	p.maybeEvict()
 	return f.pg, nil
 }
 
-// insertLocked adds a frame for pg (caller holds p.mu).
-func (p *Pool) insertLocked(pg *page.Page) *frame {
-	f := &frame{pg: pg}
+// chargeOf is the budget charge for pg: its Size, at most one page.
+func (p *Pool) chargeOf(pg *page.Page) int { return min(pg.Size(), p.cfg.PageBytes) }
+
+// insertLocked adds a frame for pg charged size bytes (caller holds p.mu).
+func (p *Pool) insertLocked(pg *page.Page, size int) *frame {
+	f := &frame{pg: pg, charge: size}
 	f.el = p.lru.PushFront(pg.ID)
 	p.frames[pg.ID] = f
+	p.charged += size
 	return f
+}
+
+// removeLocked drops f from the cache and the budget (caller holds p.mu).
+func (p *Pool) removeLocked(f *frame) {
+	p.lru.Remove(f.el)
+	delete(p.frames, f.pg.ID)
+	p.charged -= f.charge
 }
 
 // Install adds a freshly created page (from an SMO or recovery) to the
 // cache, pinned and dirty. The caller allocated the ID.
 func (p *Pool) Install(pg *page.Page) {
 	pg.Dirty = true
+	size := p.chargeOf(pg)
 	p.mu.Lock()
 	if old, ok := p.frames[pg.ID]; ok {
 		// Recovery can re-install over a cached frame: replace contents.
 		old.pg = pg
 		old.pin++
+		p.charged += size - old.charge
+		old.charge = size
 		p.lru.MoveToFront(old.el)
 		p.mu.Unlock()
 		return
 	}
-	f := p.insertLocked(pg)
+	f := p.insertLocked(pg, size)
 	f.pin++
 	p.mu.Unlock()
 	p.maybeEvict()
@@ -227,9 +271,17 @@ func (p *Pool) Unpin(id base.PageID) {
 }
 
 // MarkDirty records a TC operation (lsn may be 0 for pure SMO dirtying)
-// and/or an SMO (dlsn may be 0) applied to pg. Callers hold the page latch.
+// and/or an SMO (dlsn may be 0) applied to pg, and re-measures pg's charge
+// against the cache budget. Callers hold the page latch.
 func (p *Pool) MarkDirty(pg *page.Page, tc base.TCID, lsn base.LSN, dlsn base.DLSN) {
 	pg.Dirty = true
+	size := p.chargeOf(pg)
+	p.mu.Lock()
+	if f, ok := p.frames[pg.ID]; ok && f.pg == pg {
+		p.charged += size - f.charge
+		f.charge = size
+	}
+	p.mu.Unlock()
 	if lsn != 0 {
 		if pg.FirstDirty == nil {
 			pg.FirstDirty = make(map[base.TCID]base.LSN, 1)
@@ -323,25 +375,18 @@ func (p *Pool) flushFrame(f *frame, wait bool) error {
 			p.clearFlushWanted(f)
 			return nil
 		}
-		// Lazy abstract-LSN advance: prune with min(LWM, EOSL) per TC —
-		// never beyond EOSL, so stable pages cannot claim idempotence for
-		// operations a TC crash could lose (see ablsn.A contract).
-		for _, tc := range pg.Ab.TCs() {
-			lwm, eosl := p.gates.LWM(tc), p.gates.EOSL(tc)
-			m := lwm
-			if eosl < m {
-				m = eosl
-			}
-			pg.Ab.Advance(tc, m)
-		}
-		// Gate 1: causality.
+		// Abstract-LSN advance: prune with min(LWM, EOSL) per TC — never
+		// beyond EOSL, so stable pages cannot claim idempotence for
+		// operations a TC crash could lose (see ablsn.A contract) — and
+		// test gate 1, causality, against the same EOSL.
 		open := true
-		for _, tc := range pg.Ab.TCs() {
-			if p.gates.EOSL(tc) < pg.Ab.MaxApplied(tc) {
+		pg.Ab.Each(func(tc base.TCID, a *ablsn.A) {
+			eosl := p.gates.EOSL(tc)
+			a.Advance(min(p.gates.LWM(tc), eosl))
+			if eosl < a.MaxApplied() {
 				open = false
-				break
 			}
-		}
+		})
 		// Gate 3: page-sync strategy.
 		if open {
 			switch p.cfg.Strategy {
@@ -470,8 +515,7 @@ func (p *Pool) Pages(fn func(*page.Page)) {
 func (p *Pool) Drop(id base.PageID, free bool) {
 	p.mu.Lock()
 	if f, ok := p.frames[id]; ok {
-		p.lru.Remove(f.el)
-		delete(p.frames, id)
+		p.removeLocked(f)
 	}
 	p.mu.Unlock()
 	if free {
@@ -479,11 +523,12 @@ func (p *Pool) Drop(id base.PageID, free bool) {
 	}
 }
 
-// maybeEvict evicts cold clean-or-flushable pages above capacity.
+// maybeEvict evicts cold clean-or-flushable pages while the frames'
+// charges exceed the byte budget.
 func (p *Pool) maybeEvict() {
 	for {
 		p.mu.Lock()
-		if len(p.frames) <= p.cfg.Capacity {
+		if p.charged <= p.budget {
 			p.mu.Unlock()
 			return
 		}
@@ -511,8 +556,7 @@ func (p *Pool) maybeEvict() {
 		}
 		p.mu.Lock()
 		if f, ok := p.frames[victim.pg.ID]; ok && f == victim && f.pin == 1 && !f.pg.Dirty {
-			p.lru.Remove(f.el)
-			delete(p.frames, f.pg.ID)
+			p.removeLocked(f)
 			p.evictions.Add(1)
 			p.mu.Unlock()
 			continue
@@ -531,6 +575,14 @@ func (p *Pool) Cached() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.frames)
+}
+
+// CachedBytes returns the bytes the cached frames count against the
+// budget.
+func (p *Pool) CachedBytes() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.charged
 }
 
 // Stats returns a snapshot of counters.

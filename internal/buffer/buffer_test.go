@@ -257,7 +257,9 @@ func TestDCLogWALGate(t *testing.T) {
 }
 
 func TestEvictionRespectsGates(t *testing.T) {
-	p, store, g := newTestPool(t, Config{Capacity: 2, Strategy: SyncFull})
+	// The budget is two pages of 40 bytes; a dirtyLeaf page with one LSN
+	// is charged 38.
+	p, store, g := newTestPool(t, Config{Capacity: 2, PageBytes: 40, Strategy: SyncFull})
 	// Page A flushable, page B gated.
 	a := dirtyLeaf(p, store, 1, 1)
 	b := dirtyLeaf(p, store, 2, 50)
@@ -271,6 +273,64 @@ func TestEvictionRespectsGates(t *testing.T) {
 	// B must never be evicted to disk while gated.
 	if store.Exists(b.ID) {
 		t.Fatal("gated page leaked to disk via eviction")
+	}
+	// The eviction did happen: A, the coldest page, went to disk.
+	if n := p.Stats().Evictions; n != 1 || !store.Exists(a.ID) || p.Cached() != 2 {
+		t.Fatalf("evictions = %d, A on disk = %v, cached = %d; want 1, true, 2",
+			n, store.Exists(a.ID), p.Cached())
+	}
+}
+
+// TestByteBudgetChargesPageSize checks the budget is in bytes: small
+// pages fit beyond the page count, a page's charge follows MarkDirty as it
+// grows (up to one page), and growth past the budget evicts on the next
+// insert.
+func TestByteBudgetChargesPageSize(t *testing.T) {
+	p, store, g := newTestPool(t, Config{Capacity: 4, PageBytes: 1000, Strategy: SyncFull})
+	g.set(1, 100, 100)
+	var pages []*page.Page
+	for i := 0; i < 10; i++ {
+		pg := dirtyLeaf(p, store, 1, base.LSN(i+1))
+		p.Unpin(pg.ID)
+		pages = append(pages, pg)
+	}
+	small := pages[0].Size()
+	if p.Cached() != 10 || p.CachedBytes() != 10*small || p.Stats().Evictions != 0 {
+		t.Fatalf("10 pages of %d bytes under a 4000-byte budget: cached %d, charged %d, evictions %d",
+			small, p.Cached(), p.CachedBytes(), p.Stats().Evictions)
+	}
+	grow := func(pg *page.Page, n int) int {
+		pg.L.Lock()
+		defer pg.L.Unlock()
+		pg.Put(page.Record{Key: "k", Value: make([]byte, n)})
+		p.MarkDirty(pg, 1, 20, 0)
+		return pg.Size()
+	}
+	// One page grows to ~900 bytes, another past a whole page: the
+	// overfull one is charged one page.
+	mid := grow(pages[9], 900)
+	if over := grow(pages[8], 5000); over <= 1000 {
+		t.Fatalf("page of %d bytes is not overfull", over)
+	}
+	if got, want := p.CachedBytes(), 8*small+mid+1000; got != want {
+		t.Fatalf("charged %d bytes, want %d", got, want)
+	}
+	// Two more pages grow to ~900 bytes and overflow the budget: the next
+	// insert evicts cold pages until it holds again.
+	for i := 0; i < 2; i++ {
+		pg := dirtyLeaf(p, store, 1, base.LSN(30+i))
+		grow(pg, 900)
+		p.Unpin(pg.ID)
+	}
+	if p.CachedBytes() <= 4000 || p.Stats().Evictions != 0 {
+		t.Fatalf("before the insert: charged %d bytes, %d evictions", p.CachedBytes(), p.Stats().Evictions)
+	}
+	p.Unpin(dirtyLeaf(p, store, 1, 40).ID)
+	if p.CachedBytes() > 4000 || p.Stats().Evictions == 0 {
+		t.Fatalf("after overflow: charged %d bytes, %d evictions", p.CachedBytes(), p.Stats().Evictions)
+	}
+	if p.Drop(pages[9].ID, false); p.CachedBytes() > 4000-mid {
+		t.Fatalf("drop left %d bytes charged", p.CachedBytes())
 	}
 }
 

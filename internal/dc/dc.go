@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -41,7 +42,10 @@ type Config struct {
 	Name string
 	// PageBytes is the split threshold (default 4096).
 	PageBytes int
-	// CacheCapacity is the buffer-pool capacity in pages.
+	// CacheCapacity is the buffer-pool budget counted in PageBytes-sized
+	// pages: the pool evicts once its pages, each charged its encoded size
+	// (at most one page), exceed CacheCapacity×PageBytes bytes. Near-empty
+	// pages therefore cost less than full ones (default 1024 pages).
 	CacheCapacity int
 	// Strategy is the §5.1.2 page-sync strategy (default SyncFull).
 	Strategy buffer.SyncStrategy
@@ -116,6 +120,20 @@ type tcState struct {
 	// safeCh, when non-nil, is closed under ctl the next time safe
 	// advances; snapshot waiters subscribe through safeChanged.
 	safeCh chan struct{}
+
+	// held is set while the TC's low-water mark must not prune abstract
+	// LSNs: from a loss of the DC's cache until the TC's EndRedo to the
+	// incarnation that followed it (see LowWaterMark).
+	held atomic.Bool
+}
+
+// pruneBound is how far the TC's abstract LSNs may advance: min(LWM,
+// EOSL), or nothing while the low-water mark is held.
+func (s *tcState) pruneBound() base.LSN {
+	if s.held.Load() {
+		return 0
+	}
+	return base.LSN(min(s.lwm.Load(), s.eosl.Load()))
 }
 
 // safeChanged returns a channel closed on the next advance of safe.
@@ -137,7 +155,7 @@ type DC struct {
 	cfg   Config
 	store *storage.PageStore
 
-	mu        sync.Mutex // guards state, trees, tcs, pageTable, epochRec
+	mu        sync.Mutex // guards state, trees, tcs, pageTable, epochRec, incarnation, lostCache
 	state     dcState
 	dlog      *wal.Log
 	pool      *buffer.Pool
@@ -149,6 +167,13 @@ type DC struct {
 	// fresh snapshot whenever it would discard this record, so the fences
 	// always survive DC crashes.
 	epochRec base.DLSN
+	// incarnation is the token Incarnation reports, drawn anew by every
+	// Crash and by New, so an EndRedo meant for a lost incarnation never
+	// matches a later one — not even across process restarts.
+	incarnation uint64
+	// lostCache is set once this DC has lost a cache (Crash, or New
+	// reopening Dir): every tcState is then created held.
+	lostCache bool
 
 	inflight *conflictTable
 
@@ -180,12 +205,13 @@ func New(cfg Config) (*DC, error) {
 		cfg.PageBytes = 4096
 	}
 	d := &DC{
-		cfg:       cfg,
-		store:     storage.NewPageStore(),
-		dlog:      wal.New(),
-		trees:     make(map[string]*btree.Tree),
-		pageTable: make(map[base.PageID]string),
-		tcs:       make(map[base.TCID]*tcState),
+		cfg:         cfg,
+		store:       storage.NewPageStore(),
+		dlog:        wal.New(),
+		trees:       make(map[string]*btree.Tree),
+		pageTable:   make(map[base.PageID]string),
+		tcs:         make(map[base.TCID]*tcState),
+		incarnation: newIncarnation(),
 	}
 	if cfg.Dir != "" {
 		var err error
@@ -204,6 +230,7 @@ func New(cfg Config) (*DC, error) {
 		// happen to be on disk, so restart runs the ordinary §5.3.2
 		// recovery — replay the DC-log, reopen the trees from the catalog.
 		d.state = stateDown
+		d.lostCache = true
 		if err := d.Recover(); err != nil {
 			return nil, fmt.Errorf("dc %s: reopen %s: %w", cfg.Name, cfg.Dir, err)
 		}
@@ -227,11 +254,12 @@ func New(cfg Config) (*DC, error) {
 
 func (d *DC) newPool() *buffer.Pool {
 	return buffer.New(
-		buffer.Config{Capacity: d.cfg.CacheCapacity, Strategy: d.cfg.Strategy, HybridMax: d.cfg.HybridMax},
+		buffer.Config{Capacity: d.cfg.CacheCapacity, PageBytes: d.cfg.PageBytes,
+			Strategy: d.cfg.Strategy, HybridMax: d.cfg.HybridMax},
 		d.store,
 		buffer.Gates{
 			EOSL:       func(tc base.TCID) base.LSN { return base.LSN(d.tcState(tc).eosl.Load()) },
-			LWM:        func(tc base.TCID) base.LSN { return base.LSN(d.tcState(tc).lwm.Load()) },
+			LWM:        func(tc base.TCID) base.LSN { return d.tcState(tc).pruneBound() },
 			ForceDCLog: func(dl base.DLSN) { d.dlog.ForceTo(base.LSN(dl)) },
 		})
 }
@@ -239,12 +267,27 @@ func (d *DC) newPool() *buffer.Pool {
 func (d *DC) tcState(tc base.TCID) *tcState {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.tcStateLocked(tc)
+}
+
+// tcStateLocked is tcState for callers holding d.mu.
+func (d *DC) tcStateLocked(tc base.TCID) *tcState {
 	s := d.tcs[tc]
 	if s == nil {
 		s = &tcState{}
+		s.held.Store(d.lostCache)
 		d.tcs[tc] = s
 	}
 	return s
+}
+
+// newIncarnation draws a nonzero incarnation token.
+func newIncarnation() uint64 {
+	for {
+		if x := rand.Uint64(); x != 0 {
+			return x
+		}
+	}
 }
 
 // poolNow returns the current buffer pool (nil while crashed). Callers
@@ -495,6 +538,14 @@ func (d *DC) waitSnapshotSafe(ctx context.Context, t base.TS) base.Code {
 // The check and the advance share ctl with BeginRestart's fence raise and
 // re-base, so the stale claim either lands entirely before the raise (and
 // is zeroed by the re-base) or is fenced — never in between.
+//
+// After this DC loses its cache (Crash, or New reopening Dir) the mark is
+// held: it is recorded but prunes nothing until the TC's EndRedo names
+// the current incarnation. Until the TC's redo stream has been resent, its
+// mark still counts replies from the lost incarnation; pruning with it
+// would swallow LSNs the redo has yet to re-apply, and the replay would
+// then be skipped as a duplicate. The hold starts at the loss itself, so
+// claims that arrive between Crash and Recover are held too.
 func (d *DC) LowWaterMark(tc base.TCID, epoch base.Epoch, lwm base.LSN) {
 	s := d.tcState(tc)
 	s.ctl.Lock()
@@ -554,6 +605,43 @@ func (d *DC) Checkpoint(ctx context.Context, tc base.TCID, epoch base.Epoch, new
 		return pg.Dirty && len(pg.FirstDirty) == 0
 	})
 	d.truncateDCLog(pool)
+	return nil
+}
+
+// Incarnation implements base.Service: the current incarnation token.
+func (d *DC) Incarnation(ctx context.Context) (uint64, error) {
+	if ctx.Err() != nil {
+		return 0, base.CancelErr(ctx)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state != stateRunning {
+		return 0, d.errUnavailable()
+	}
+	return d.incarnation, nil
+}
+
+// EndRedo implements base.Service: tc's redo stream to the incarnation
+// named by token is complete, so its low-water mark may prune again. The
+// token check and the release happen under d.mu, which Crash holds while
+// it draws the next token, so a release can never reach a later
+// incarnation's hold.
+func (d *DC) EndRedo(ctx context.Context, tc base.TCID, epoch base.Epoch, token uint64) error {
+	if ctx.Err() != nil {
+		return base.CancelErr(ctx)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state != stateRunning || token != d.incarnation {
+		return fmt.Errorf("dc %s: end-redo for tc %d names a lost incarnation: %w",
+			d.cfg.Name, tc, base.ErrUnavailable)
+	}
+	s := d.tcStateLocked(tc)
+	if s.fenced(epoch) {
+		return fmt.Errorf("dc %s: end-redo for tc %d epoch %d behind fence %d: %w",
+			d.cfg.Name, tc, epoch, s.epoch.Load(), base.ErrStaleEpoch)
+	}
+	s.held.Store(false)
 	return nil
 }
 

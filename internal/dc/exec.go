@@ -208,7 +208,12 @@ func (d *DC) write(pool *buffer.Pool, tree *btree.Tree, ts *tcState, op *base.Op
 			}
 			res = applyWrite(leaf, op, base.TS(d.gcHorizon.Load()))
 			if res.Code == base.CodeOK {
-				leaf.Ab.Ensure(op.TC).Add(op.LSN)
+				// Prune before adding, with the bound flushes use, so
+				// {LSNin} holds only writes the TC has not yet heard back
+				// about rather than every write since the last flush.
+				a := leaf.Ab.Ensure(op.TC)
+				a.Advance(ts.pruneBound())
+				a.Add(op.LSN)
 				pool.MarkDirty(leaf, op.TC, op.LSN, 0)
 			}
 			return false

@@ -28,7 +28,15 @@ func (d *DC) Crash() {
 	d.pool = nil
 	d.trees = make(map[string]*btree.Tree)
 	d.pageTable = make(map[base.PageID]string)
+	// The lost cache holds every TC's low-water mark until that TC's redo
+	// reaches the next incarnation. Operations still executing with a
+	// reference to a superseded tcState must not prune either.
+	for _, s := range d.tcs {
+		s.held.Store(true)
+	}
 	d.tcs = make(map[base.TCID]*tcState)
+	d.lostCache = true
+	d.incarnation = newIncarnation()
 	// Epoch fences are rebuilt from the stable DC-log (every bump is forced
 	// before it takes effect, and truncation re-snapshots).
 	d.epochRec = 0
@@ -427,18 +435,19 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 			}
 		}
 		pg.Recs = kept
+		// The page is dirty from here on; MarkDirty (no operation, no SMO)
+		// also re-measures its cache charge, which the strip shrank.
+		defer pool.MarkDirty(pg, 0, 0, 0)
 		// Revert the TC's abstract LSN (and record set) to the stable
 		// version of this page, if any.
 		data, ok := d.store.Read(pg.ID)
 		if !ok {
 			pg.Ab.Drop(tc)
-			pg.Dirty = true
 			return
 		}
 		diskPg, err := page.Decode(data)
 		if err != nil {
 			pg.Ab.Drop(tc)
-			pg.Dirty = true
 			return
 		}
 		pg.Ab.Set(tc, diskPg.Ab.Get(tc))
@@ -447,7 +456,6 @@ func (d *DC) BeginRestart(ctx context.Context, tc base.TCID, epoch base.Epoch, s
 				restores = append(restores, restore{table: table, rec: diskPg.Recs[i]})
 			}
 		}
-		pg.Dirty = true
 	})
 
 	// Reinsert the stable records through current routing: intervening

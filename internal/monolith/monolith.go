@@ -49,7 +49,12 @@ const (
 
 // Config shapes the engine.
 type Config struct {
-	PageBytes     int
+	// PageBytes is the split threshold (default 4096).
+	PageBytes int
+	// CacheCapacity is the buffer-pool budget counted in PageBytes-sized
+	// pages: the pool evicts once its pages, each charged its encoded size
+	// (at most one page), exceed CacheCapacity×PageBytes bytes (default
+	// 1024 pages).
 	CacheCapacity int
 	LockTimeout   time.Duration
 	// ForceDelay simulates stable-log force latency (group commit).
@@ -111,7 +116,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) newPool() *buffer.Pool {
 	open := func(base.TCID) base.LSN { return 1 << 62 }
 	return buffer.New(
-		buffer.Config{Capacity: e.cfg.CacheCapacity, Strategy: buffer.SyncFull},
+		buffer.Config{Capacity: e.cfg.CacheCapacity, PageBytes: e.cfg.PageBytes, Strategy: buffer.SyncFull},
 		e.store,
 		buffer.Gates{
 			EOSL: open, LWM: open, // no abstract LSNs in the monolith

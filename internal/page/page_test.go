@@ -344,6 +344,61 @@ func TestSizeGrowsWithPayload(t *testing.T) {
 	}
 }
 
+// sharedLeaf is a leaf written by two TCs: records, a retained before
+// version, snapshot history, and a two-entry abstract-LSN table.
+func sharedLeaf() *Page {
+	p := NewLeaf(7)
+	p.DLSN = 12
+	p.Next = 8
+	for _, l := range []base.LSN{100, 104, 109} {
+		p.Ab.Ensure(1).Add(l)
+	}
+	p.Ab.Ensure(1).Advance(101)
+	p.Ab.Ensure(3).Add(5)
+	p.Put(Record{Key: "a", Owner: 1, Value: bytes.Repeat([]byte("a"), 512), TS: 40,
+		Hist: []Version{{TS: 10, Val: []byte("a0")}, {TS: 20, Del: true}}})
+	p.Put(Record{Key: "b", Owner: 3, Flags: FlagHasBefore, Value: []byte("new"), Before: []byte("old"), BeforeTS: 30})
+	p.Put(Record{Key: "c", Owner: 1, Flags: FlagHasBefore | FlagBeforeNull, Value: []byte("ins")})
+	return p
+}
+
+// TestSizeAndEncodeAllocs pins the page-image hot path: Size (run on every
+// write for the split test and the cache charge) allocates nothing, and
+// Encode allocates only its output buffer.
+func TestSizeAndEncodeAllocs(t *testing.T) {
+	p := sharedLeaf()
+	if n := testing.AllocsPerRun(100, func() { _ = p.Size() }); n != 0 {
+		t.Errorf("Size: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = p.Encode() }); n != 1 {
+		t.Errorf("Encode: %v allocs, want 1", n)
+	}
+}
+
+// FuzzPageImage feeds arbitrary bytes to Decode (which also parses the
+// abstract-LSN table): nothing panics, and every image that decodes
+// re-encodes to one that decodes to the same page.
+func FuzzPageImage(f *testing.F) {
+	leaf := sharedLeaf().Encode()
+	f.Add(leaf)
+	f.Add(NewBranch(9, []string{"g", "m"}, []base.PageID{1, 2, 3}).Encode())
+	f.Add(leaf[:len(leaf)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Decode(data)
+		if err != nil {
+			return
+		}
+		q, err := Decode(p.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded page does not decode: %v", err)
+		}
+		if !p.Equal(q) {
+			t.Fatalf("page changed across a re-encode:\n%+v\n%+v", p, q)
+		}
+	})
+}
+
 func keysOf(p *Page) []string {
 	out := make([]string, len(p.Recs))
 	for i := range p.Recs {

@@ -164,6 +164,17 @@ func (t *TC) Recover() error {
 	epochLSN := t.log.AppendAssign(&wal.Record{Kind: recEpoch, Payload: encodeEpoch(newEpoch)})
 	t.log.ForceTo(epochLSN)
 
+	// A DC that lost its cache holds this TC's low-water mark until a
+	// redo stream reaches it; the redo below is a full one, so it ends
+	// with EndRedo to the incarnation each DC reports now.
+	tokens := make([]uint64, len(t.dcs))
+	for i, h := range t.dcs {
+		var err error
+		if tokens[i], err = h.svc.Incarnation(context.Background()); err != nil {
+			return fmt.Errorf("tc %d: dc incarnation: %w", t.cfg.ID, err)
+		}
+	}
+
 	// --- DC reset (§5.3.2): drop cached effects beyond the stable log and
 	// install the new epoch as the fence, so the dead incarnation's
 	// requests still on the wire can never execute after this point.
@@ -200,6 +211,11 @@ func (t *TC) Recover() error {
 			return fmt.Errorf("tc %d: redo @%d failed: %v", t.cfg.ID, rec.LSN, res.Code)
 		}
 		t.redoOps.Add(1)
+	}
+	for i, h := range t.dcs {
+		if err := h.svc.EndRedo(context.Background(), t.cfg.ID, newEpoch, tokens[i]); err != nil {
+			return fmt.Errorf("tc %d: end redo: %w", t.cfg.ID, err)
+		}
 	}
 
 	// Redo is complete: every allocated LSN at or below the stable end is
@@ -258,7 +274,11 @@ func (t *TC) Recover() error {
 // point; the DC re-applies whatever is missing from its stable state.
 // New operations to that DC wait until the redo stream completes so that
 // logical operations are never applied out of order; in-flight resends of
-// old operations are part of the redo stream and harmless.
+// old operations are part of the redo stream and harmless. The stream is
+// bracketed by Incarnation and EndRedo: the DC holds this TC's low-water
+// mark until the redo has reached the incarnation it reported, and a DC
+// that crashed again meanwhile refuses the EndRedo, failing RecoverDC so
+// the caller replays once more.
 func (t *TC) RecoverDC(idx int) error {
 	if idx < 0 || idx >= len(t.dcs) {
 		return fmt.Errorf("tc %d: no DC %d", t.cfg.ID, idx)
@@ -266,6 +286,10 @@ func (t *TC) RecoverDC(idx int) error {
 	h := t.dcs[idx]
 	h.setRecovering(true)
 	defer h.setRecovering(false)
+	token, err := h.svc.Incarnation(context.Background())
+	if err != nil {
+		return fmt.Errorf("tc %d: dc-redo incarnation: %w", t.cfg.ID, err)
+	}
 
 	// Scan only sees the stable log, but operations whose replies already
 	// arrived may still sit in the unforced tail (a scan or unlocked read
@@ -298,6 +322,9 @@ func (t *TC) RecoverDC(idx int) error {
 			return fmt.Errorf("tc %d: dc-redo @%d failed: %v", t.cfg.ID, rec.LSN, res.Code)
 		}
 		t.redoOps.Add(1)
+	}
+	if err := h.svc.EndRedo(context.Background(), t.cfg.ID, t.Epoch(), token); err != nil {
+		return fmt.Errorf("tc %d: dc-redo end: %w", t.cfg.ID, err)
 	}
 	t.broadcastWatermarks()
 	return nil

@@ -352,6 +352,22 @@ func (c *Client) EndRestart(ctx context.Context, tc base.TCID, epoch base.Epoch)
 	return c.controlErr(c.call(ctx, msgEndRestart, tc, epoch, 0, nil))
 }
 
+// Incarnation implements base.Service with resend until acknowledged.
+func (c *Client) Incarnation(ctx context.Context) (uint64, error) {
+	reply, err := c.call(ctx, msgIncarnation, 0, 0, 0, nil)
+	if err := c.controlErr(reply, err); err != nil {
+		return 0, err
+	}
+	token, _, err := readUvarint(reply.body)
+	return token, err
+}
+
+// EndRedo implements base.Service with resend until acknowledged; the
+// token rides the frame's lsn field.
+func (c *Client) EndRedo(ctx context.Context, tc base.TCID, epoch base.Epoch, token uint64) error {
+	return c.controlErr(c.call(ctx, msgEndRedo, tc, epoch, base.LSN(token), nil))
+}
+
 // Catalog asks the remote service which tables it serves (msgCatalog,
 // resent until acknowledged). The fleet-assembly placement cross-check
 // compares the answer against the placement spec. Servers whose service

@@ -24,7 +24,7 @@ import (
 //
 // Frame layout (all integers are stdlib varints):
 //
-//	kind     byte        message kind (msgPerform..msgReplyBatch)
+//	kind     byte        message kind (msgPerform..msgLastKind)
 //	id       uvarint     correlation id (replies echo the request's)
 //	tc       uvarint     sender TC identity
 //	epoch    uvarint     sender incarnation epoch
@@ -64,7 +64,7 @@ func decodeFrame(buf []byte) (*message, []byte, error) {
 		return nil, nil, errBadFrame
 	}
 	m := &message{kind: msgKind(buf[0])}
-	if m.kind < msgPerform || m.kind > msgReplyBatch {
+	if m.kind < msgPerform || m.kind > msgLastKind {
 		return nil, nil, fmt.Errorf("%w: kind %d", errBadFrame, buf[0])
 	}
 	buf = buf[1:]

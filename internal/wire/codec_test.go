@@ -18,6 +18,8 @@ func frameCases() []*message {
 		{kind: msgCheckpoint, id: 7, tc: 1, epoch: 1, lsn: 1000},
 		{kind: msgBeginRestart, id: 8, tc: 1, epoch: 3, lsn: 12},
 		{kind: msgEndRestart, id: 9, tc: 1, epoch: 3},
+		{kind: msgIncarnation, id: 10},
+		{kind: msgEndRedo, id: 11, tc: 1, epoch: 3, lsn: 1<<64 - 1},
 		{kind: msgReply, id: 7, body: []byte{1, 2, 3}},
 		{kind: msgReply, id: 8, err: "dc dc0: " + base.ErrStaleEpoch.Error()},
 		{kind: msgReply},

@@ -226,6 +226,12 @@ func (l *Listener) handle(sc *srvConn, m *message) {
 		l.spawn(func() { sc.control(m, func() error { return l.svc.EndRestart(context.Background(), m.tc, m.epoch) }) })
 	case msgCatalog:
 		l.spawn(func() { sc.reply(catalogReply(l.svc, m.id)) })
+	case msgIncarnation:
+		l.spawn(func() { sc.reply(incarnationReply(l.svc, m.id)) })
+	case msgEndRedo:
+		l.spawn(func() {
+			sc.control(m, func() error { return l.svc.EndRedo(context.Background(), m.tc, m.epoch, uint64(m.lsn)) })
+		})
 	}
 }
 

@@ -64,6 +64,17 @@ func TestTCPPerformAndBatch(t *testing.T) {
 	if err := cl.EndRestart(context.Background(), 1, 2); err != nil {
 		t.Fatalf("end-restart over tcp: %v", err)
 	}
+	// The redo bracket: the token crosses in the reply body and back in
+	// the frame's lsn field, and a refusal arrives typed.
+	if tok, err := cl.Incarnation(context.Background()); err != nil || tok != 7 {
+		t.Fatalf("incarnation over tcp = %d, %v", tok, err)
+	}
+	if err := cl.EndRedo(context.Background(), 1, 2, 7); err != nil {
+		t.Fatalf("end-redo over tcp: %v", err)
+	}
+	if err := cl.EndRedo(context.Background(), 1, 2, 8); !errors.Is(err, base.ErrUnavailable) {
+		t.Fatalf("end-redo over tcp with a wrong token = %v, want ErrUnavailable", err)
+	}
 
 	// Watermarks are fire-and-forget; poll for arrival.
 	cl.EndOfStableLog(1, 1, 42)

@@ -133,6 +133,13 @@ const (
 	// at the TC, a commit-force window) over many acks. Appended last, so
 	// old frames decode identically.
 	msgReplyBatch
+	// msgIncarnation asks for the DC's incarnation token (reply body: the
+	// token as a uvarint) and msgEndRedo hands it back (lsn field) when a
+	// redo stream is complete; see base.Service.EndRedo.
+	msgIncarnation
+	msgEndRedo
+	// msgLastKind is the highest kind the codec accepts.
+	msgLastKind = msgEndRedo
 )
 
 // Cataloger is the optional service facet behind msgCatalog: a server
@@ -178,6 +185,16 @@ func catalogReply(svc base.Service, id uint64) *message {
 	}
 	return &message{kind: msgReply, id: id,
 		err: "wire: service has no table catalog: " + base.ErrUnavailable.Error()}
+}
+
+// incarnationReply builds the msgIncarnation reply for a service, shared
+// by both transports.
+func incarnationReply(svc base.Service, id uint64) *message {
+	token, err := svc.Incarnation(context.Background())
+	if err != nil {
+		return &message{kind: msgReply, id: id, err: err.Error()}
+	}
+	return &message{kind: msgReply, id: id, body: binary.AppendUvarint(nil, token)}
 }
 
 type message struct {
@@ -374,6 +391,12 @@ func (s *Server) run() {
 				go s.control(m, func() error { return s.svc.EndRestart(context.Background(), m.tc, m.epoch) })
 			case msgCatalog:
 				s.reply(catalogReply(s.svc, m.id))
+			case msgIncarnation:
+				s.reply(incarnationReply(s.svc, m.id))
+			case msgEndRedo:
+				go s.control(m, func() error {
+					return s.svc.EndRedo(context.Background(), m.tc, m.epoch, uint64(m.lsn))
+				})
 			}
 		}
 	}

@@ -95,6 +95,15 @@ func (s *echoService) EndRestart(ctx context.Context, tc base.TCID, epoch base.E
 	return nil
 }
 
+func (s *echoService) Incarnation(ctx context.Context) (uint64, error) { return 7, nil }
+
+func (s *echoService) EndRedo(ctx context.Context, tc base.TCID, epoch base.Epoch, token uint64) error {
+	if token != 7 {
+		return fmt.Errorf("echo: end-redo token %d: %w", token, base.ErrUnavailable)
+	}
+	return nil
+}
+
 func TestPerformPerfectNetwork(t *testing.T) {
 	n := NewNetwork(Config{})
 	svc := newEchoService()
@@ -172,6 +181,17 @@ func TestControlMessages(t *testing.T) {
 	}
 	if err := cl.EndRestart(context.Background(), 1, 4); err != nil {
 		t.Fatal(err)
+	}
+	// The redo bracket: the token crosses in the reply body and back in
+	// the frame's lsn field, and a refusal arrives typed.
+	if tok, err := cl.Incarnation(context.Background()); err != nil || tok != 7 {
+		t.Fatalf("incarnation = %d, %v", tok, err)
+	}
+	if err := cl.EndRedo(context.Background(), 1, 4, 7); err != nil {
+		t.Fatalf("end-redo: %v", err)
+	}
+	if err := cl.EndRedo(context.Background(), 1, 4, 8); !errors.Is(err, base.ErrUnavailable) {
+		t.Fatalf("end-redo with a wrong token = %v, want ErrUnavailable", err)
 	}
 }
 

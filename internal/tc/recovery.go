@@ -213,7 +213,11 @@ func (t *TC) Recover() error {
 		t.redoOps.Add(1)
 	}
 	for i, h := range t.dcs {
-		if err := h.svc.EndRedo(context.Background(), t.cfg.ID, newEpoch, tokens[i]); err != nil {
+		// A DC that lost its cache again during this redo refuses the
+		// token as unavailable: it keeps its hold, and the RecoverDC its
+		// own restart prompts lifts it, so the restart need not fail.
+		err := h.svc.EndRedo(context.Background(), t.cfg.ID, newEpoch, tokens[i])
+		if err != nil && !errors.Is(err, base.ErrUnavailable) {
 			return fmt.Errorf("tc %d: end redo: %w", t.cfg.ID, err)
 		}
 	}

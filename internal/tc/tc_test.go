@@ -422,6 +422,93 @@ func TestDCCrashRecoveryViaResend(t *testing.T) {
 	}
 }
 
+// crashOnEndRedo is a DC that crashes and recovers once, just before it
+// receives an EndRedo: the redo stream that preceded it was lost with the
+// cache, so the token names a lost incarnation.
+type crashOnEndRedo struct {
+	*dc.DC
+	armed bool
+}
+
+func (c *crashOnEndRedo) EndRedo(ctx context.Context, tc base.TCID, epoch base.Epoch, token uint64) error {
+	if c.armed {
+		c.armed = false
+		c.DC.Crash()
+		if err := c.DC.Recover(); err != nil {
+			return err
+		}
+	}
+	return c.DC.EndRedo(ctx, tc, epoch, token)
+}
+
+// TestRedoEndsOnTheIncarnationItReached checks both redo brackets when the
+// DC crashes again before the redo ends: RecoverDC fails typed, so its
+// caller replays, while a TC restart still completes and leaves the hold
+// to the RecoverDC the DC's restart prompts.
+func TestRedoEndsOnTheIncarnationItReached(t *testing.T) {
+	d, err := dc.New(dc.Config{Name: "dc0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	svc := &crashOnEndRedo{DC: d}
+	tcx, err := New(Config{ID: 1}, []base.Service{svc}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tcx.Close)
+	write := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+				return x.Upsert("t", fmt.Sprintf("k%03d", i), []byte("v"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readAll := func(n int) {
+		t.Helper()
+		if err := tcx.RunTxn(context.Background(), TxnOptions{}, func(x *Txn) error {
+			for i := 0; i < n; i++ {
+				if _, ok, _ := x.Read("t", fmt.Sprintf("k%03d", i)); !ok {
+					return fmt.Errorf("key %d lost", i)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	write(0, 20)
+	d.Crash()
+	if err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	svc.armed = true
+	if err := tcx.RecoverDC(0); !errors.Is(err, base.ErrUnavailable) {
+		t.Fatalf("RecoverDC across a second DC crash = %v, want ErrUnavailable", err)
+	}
+	if err := tcx.RecoverDC(0); err != nil {
+		t.Fatal(err)
+	}
+	readAll(20)
+
+	write(20, 40)
+	tcx.Crash()
+	svc.armed = true
+	if err := tcx.Recover(); err != nil {
+		t.Fatalf("TC restart across a DC crash: %v", err)
+	}
+	if err := tcx.RecoverDC(0); err != nil {
+		t.Fatal(err)
+	}
+	readAll(40)
+}
+
 func TestCheckpointAdvancesAndBoundsRedo(t *testing.T) {
 	tcx, d := newPair(t, Config{})
 	for i := 0; i < 40; i++ {
